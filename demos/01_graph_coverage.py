@@ -52,4 +52,4 @@ print("branch graph value:", coverage_value_graph(branch).value)
 # Witnesses are never longer than m * |V|: cycles that add no new
 # proposition can always be spliced out.
 big = max_coverage_graph(branch, 1)
-print("steps used:", big.steps_used, "<=", 1 * branch.n)
+print("steps used:", len(big.witness) - 1, "<=", 1 * branch.n)

@@ -225,9 +225,7 @@ def _cmd_bounded(args) -> int:
         out["patched"] = list(patched)
     keep = not args.low_memory
     if is_game:
-        ans = bounded_coverage_game(
-            model, m, args.k, low_memory=args.low_memory, want_strategy=keep
-        )
+        ans = bounded_coverage_game(model, m, args.k, want_strategy=keep)
         out["value"] = ans.value
         witness = (
             _strategy_obj(model, ans.strategy, m) if ans.decision and ans.strategy else None
@@ -236,7 +234,7 @@ def _cmd_bounded(args) -> int:
         ans = bounded_coverage_graph(model, m, args.k, want_witness=keep)
         witness = _path_obj(model, ans.witness, m) if ans.decision and ans.witness else None
         if witness is not None:
-            out["steps_used"] = ans.steps_used
+            out["steps_used"] = len(ans.witness) - 1
     out["decision"] = ans.decision
     out["witness"] = witness
     lines = [f"decision: {'yes' if ans.decision else 'no'}"]
@@ -310,6 +308,8 @@ def _cmd_certify(args) -> int:
     if not isinstance(inner, dict) or "kind" not in inner:
         raise FormatError("witness file does not contain a checkable object")
     m = args.m if args.m is not None else inner.get("m")
+    if m is not None and (not isinstance(m, int) or isinstance(m, bool)):
+        raise FormatError(f"witness target m={m!r} is not an integer")
     kind = inner["kind"]
     if kind == "path":
         path = path_from_names(model, inner.get("vertices", ()))
@@ -383,13 +383,7 @@ def _parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--low-memory",
         action="store_true",
-        help="frontier-only searches / unmemoized game tree; no witnesses",
-    )
-    shared.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed for randomized corpus generation (reserved; current commands are deterministic)",
+        help="omit witnesses and strategies",
     )
 
     parser = argparse.ArgumentParser(

@@ -2,32 +2,37 @@
 
 Maximal coverage is a reachability game on the lazy (vertex, covered)
 product: the tester wins iff the initial product state lies in the
-player-1 attractor of the states whose covered set is large enough, and
-the attractor ranks yield a finite-memory strategy whose memory is
-exactly the covered set. Bounded coverage is a depth-capped minimax over
-the same state space. End components of the uniform-random
+player-1 attractor of the states whose covered set is large enough. The
+goals {covered >= t} are nested, so one incremental attractor yields
+every level, and the successor through which each tester state entered
+gives a finite-memory strategy whose memory is exactly the covered set.
+Bounded coverage is a depth-capped minimax over the same state space. End components of the uniform-random
 interpretation answer the recurrent-game and minimal-safety questions at
 desk scale.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (
     ApCapExceededError,
     BudgetExceededError,
-    MOutOfRangeError,
+    FormatError,
     NotRecurrentError,
 )
 from .model import (
     DEFAULT_AP_CAP,
     PLAYER1,
     LabeledGameGraph,
+    _predecessors,
+    _reachable,
+    check_target,
+    cover_of,
     mask_names,
     names_mask,
+    path_from_names,
     require_valid,
 )
 
@@ -68,14 +73,33 @@ class TesterStrategy:
 
     @classmethod
     def from_obj(cls, g: LabeledGameGraph, obj: dict) -> "TesterStrategy":
+        """Inverse of to_obj; a malformed entry raises FormatError."""
         budget = obj.get("budget")
+        if budget is not None and not (_is_int(budget) and budget >= 0):
+            raise FormatError("strategy budget must be a non-negative integer")
+        fields = ("vertex", "covered", "choose") + (() if budget is None else ("remaining",))
+        entries = obj.get("entries", [])
+        if not isinstance(entries, list):
+            raise FormatError("strategy entries must be a list")
         moves = {}
-        for entry in obj.get("entries", ()):
-            v = g.id_of[entry["vertex"]]
-            covered = names_mask(g.ap, entry["covered"])
-            key = (v, covered) if budget is None else (v, covered, entry["remaining"])
-            moves[key] = g.id_of[entry["choose"]]
+        for entry in entries:
+            if not isinstance(entry, dict) or not all(f in entry for f in fields):
+                raise FormatError(f"strategy entry {entry!r} needs {', '.join(fields)}")
+            covered = entry["covered"]
+            if not isinstance(covered, list) or not all(isinstance(p, str) for p in covered):
+                raise FormatError("strategy entry: covered must be a list of names")
+            v, pick = path_from_names(g, (entry["vertex"], entry["choose"]))
+            key = (v, names_mask(g.ap, covered))
+            if budget is not None:
+                if not _is_int(entry["remaining"]):
+                    raise FormatError("strategy entry: remaining must be an integer")
+                key += (entry["remaining"],)
+            moves[key] = pick
         return cls(moves, budget)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -108,11 +132,6 @@ def _check_game(g: LabeledGameGraph, ap_cap: int) -> None:
         )
 
 
-def _check_m(g, m):
-    if not 0 <= m <= len(g.ap):
-        raise MOutOfRangeError(f"m={m} outside 0..{len(g.ap)}")
-
-
 # ---------------------------------------------------------------------------
 # the (vertex, covered) product
 
@@ -123,95 +142,90 @@ class _Product:
     State 0 is the initial state; successor rows follow the game's
     ascending-vertex order."""
 
-    __slots__ = ("g", "states", "index", "succ", "pred")
+    __slots__ = ("states", "succ", "pred", "player1")
 
     def __init__(self, g: LabeledGameGraph):
-        self.g = g
         labels = g.labels
         start = (g.initial, labels[g.initial])
         states = [start]
         index = {start: 0}
         succ: list[list[int]] = []
-        head = 0
-        while head < len(states):
-            v, b = states[head]
+        for v, b in states:
             row = []
             for u in g.succ[v]:
                 s = (u, b | labels[u])
                 j = index.get(s)
                 if j is None:
-                    j = len(states)
-                    index[s] = j
+                    j = index[s] = len(states)
                     states.append(s)
                 row.append(j)
             succ.append(row)
-            head += 1
-        pred: list[list[int]] = [[] for _ in states]
-        for i, row in enumerate(succ):
-            for j in row:
-                pred[j].append(i)
         self.states = states
-        self.index = index
         self.succ = succ
-        self.pred = pred
+        self.pred = _predecessors(succ)
+        self.player1 = [g.owner[v] == PLAYER1 for v, _ in states]
 
     def __len__(self) -> int:
         return len(self.states)
 
 
-def _attractor(prod: _Product, goal: list[int]) -> list[int | None]:
-    """Player-1 attractor ranks over the product: 0 on the goal, and a
-    state enters one round after its first winning successor (player 1)
-    or after its last one (player 2). None = adversary can avoid."""
-    owner = prod.g.owner
-    rank: list[int | None] = [None] * len(prod.states)
-    pending = [len(row) for row in prod.succ]
-    queue = list(goal)
-    for i in goal:
-        rank[i] = 0
-    head = 0
-    while head < len(queue):
-        j = queue[head]
-        head += 1
-        for i in prod.pred[j]:
-            if rank[i] is not None:
-                continue
-            if owner[prod.states[i][0]] == PLAYER1:
-                rank[i] = rank[j] + 1
+def _attractor(succ, pred, player1, levels, stop):
+    """Nested player-1 attractor, computed incrementally.
+
+    `levels` yields (level, seeds) pairs from the highest level down; the
+    targets are nested, so each level extends the previous attractor,
+    keeping the pending successor counters of player-2 nodes. Stops
+    after the level at which node `stop` enters. Returns the entry level
+    per node (None = the adversary avoids every target processed) and,
+    per player-1 node that entered by propagation, its cause: the
+    earlier-entered successor that pulled it in. Moving to the cause
+    strictly decreases the entry order, so it is a winning strategy.
+    """
+    entered: list[int | None] = [None] * len(pred)
+    cause = [-1] * len(pred)
+    pending = [len(row) for row in succ]
+    for level, seeds in levels:
+        queue = [i for i in seeds if entered[i] is None]
+        for i in queue:
+            entered[i] = level
+        for j in queue:
+            for i in pred[j]:
+                if entered[i] is not None:
+                    continue
+                if player1[i]:
+                    cause[i] = j
+                else:
+                    pending[i] -= 1
+                    if pending[i]:
+                        continue
+                entered[i] = level
                 queue.append(i)
-            else:
-                pending[i] -= 1
-                if pending[i] == 0:
-                    rank[i] = rank[j] + 1
-                    queue.append(i)
-    return rank
+        if entered[stop] is not None:
+            break
+    return entered, cause
 
 
-def _attractor_strategy(prod: _Product, rank) -> TesterStrategy:
-    """Rank-decreasing move per winning player-1 product state, breaking
-    ties toward the lowest successor vertex id."""
-    g = prod.g
-    moves = {}
-    for i, (v, b) in enumerate(prod.states):
-        if rank[i] in (None, 0) or g.owner[v] != PLAYER1:
-            continue
-        best = None
-        for j in prod.succ[i]:
-            if rank[j] is not None and rank[j] < rank[i]:
-                u = prod.states[j][0]
-                if best is None or u < best:
-                    best = u
-        moves[(v, b)] = best
-    return TesterStrategy(moves)
+def _solve_product(g: LabeledGameGraph, floor: int):
+    """Nested attractor of the goals {covered >= t}, t = |AP| down to
+    `floor`, over the product. The initial state's entry level is the
+    coverage value, or None when the value is below `floor`."""
+    prod = _Product(g)
+    by_count: list[list[int]] = [[] for _ in range(len(g.ap) + 1)]
+    for i, (_, b) in enumerate(prod.states):
+        by_count[b.bit_count()].append(i)
+    levels = ((t, by_count[t]) for t in range(len(g.ap), floor - 1, -1))
+    entered, cause = _attractor(prod.succ, prod.pred, prod.player1, levels, 0)
+    return prod, entered, cause
 
 
-def _solve_product(prod: _Product, m: int, want_strategy: bool) -> GameAnswer:
-    goal = [i for i, (_, b) in enumerate(prod.states) if b.bit_count() >= m]
-    rank = _attractor(prod, goal)
-    if rank[0] is None:
-        return GameAnswer(False)
-    strategy = _attractor_strategy(prod, rank) if want_strategy else None
-    return GameAnswer(True, strategy=strategy)
+def _cause_strategy(prod: _Product, entered, cause, m: int) -> TesterStrategy:
+    """The cause move of every attracted player-1 state covering < m."""
+    states = prod.states
+    return TesterStrategy({
+        states[i]: states[cause[i]][0]
+        for i, (_, b) in enumerate(states)
+        if entered[i] is not None and prod.player1[i] and b.bit_count() < m
+    })
 
 
 def max_coverage_game(
@@ -224,8 +238,12 @@ def max_coverage_game(
     """Can the tester force >= m distinct propositions to be visited,
     no matter how the system plays?"""
     _check_game(g, ap_cap)
-    _check_m(g, m)
-    return _solve_product(_Product(g), m, want_strategy)
+    check_target(g, m)
+    prod, entered, cause = _solve_product(g, m)
+    if entered[0] is None:
+        return GameAnswer(False)
+    strategy = _cause_strategy(prod, entered, cause, m) if want_strategy else None
+    return GameAnswer(True, strategy=strategy)
 
 
 def coverage_value_game(
@@ -234,71 +252,42 @@ def coverage_value_game(
     want_strategy: bool = True,
     ap_cap: int = DEFAULT_AP_CAP,
 ) -> GameAnswer:
-    """Largest enforceable coverage, searching m downward over a single
-    lazily built product (the attractor is recomputed per goal set)."""
+    """Largest enforceable coverage: the level at which the initial
+    state enters the nested attractor, in one pass over the product."""
     _check_game(g, ap_cap)
-    prod = _Product(g)
-    for m in range(len(g.ap), -1, -1):
-        ans = _solve_product(prod, m, want_strategy)
-        if ans.decision:
-            return GameAnswer(True, value=m, strategy=ans.strategy)
-    raise AssertionError("m=0 is always enforceable")
+    prod, entered, cause = _solve_product(g, 0)
+    value = entered[0]
+    strategy = _cause_strategy(prod, entered, cause, value) if want_strategy else None
+    return GameAnswer(True, value=value, strategy=strategy)
 
 
 # ---------------------------------------------------------------------------
 # bounded coverage
 
 
-def _bounded_value_memo(g: LabeledGameGraph, cap: int, memo: dict) -> int:
+def _bounded_values(g: LabeledGameGraph, cap: int) -> list[dict]:
+    """values[d] maps each (vertex, covered) state reachable in exactly d
+    steps to its minimax coverage with cap - d steps left: the layers
+    are built forward, then valued by backward induction."""
     succ, labels, owner = g.succ, g.labels, g.owner
-
-    def value(v: int, b: int, left: int) -> int:
-        if left == 0:
-            return b.bit_count()
-        key = (v, b, left)
-        got = memo.get(key)
-        if got is None:
-            vals = [value(u, b | labels[u], left - 1) for u in succ[v]]
-            got = max(vals) if owner[v] == PLAYER1 else min(vals)
-            memo[key] = got
-        return got
-
-    return value(g.initial, labels[g.initial], cap)
-
-
-def _bounded_value_dfs(g: LabeledGameGraph, cap: int) -> int:
-    """Depth-first exploration-tree value with no memo: a branch ends at
-    depth `cap` or on a node whose (vertex, covered) label repeats an
-    ancestor's, scoring the covered set there. Linear memory in the
-    branch, exponential time."""
-    succ, labels, owner = g.succ, g.labels, g.owner
-    ancestors: set[tuple[int, int]] = set()
-
-    def explore(v: int, b: int, depth: int) -> int:
-        if depth == cap:
-            return b.bit_count()
-        key = (v, b)
-        if key in ancestors:
-            return b.bit_count()
-        ancestors.add(key)
-        best = None
-        for u in succ[v]:
-            val = explore(u, b | labels[u], depth + 1)
-            if best is None or (val > best if owner[v] == PLAYER1 else val < best):
-                best = val
-        ancestors.discard(key)
-        return best
-
-    return explore(g.initial, labels[g.initial], 0)
+    values = [{(g.initial, labels[g.initial]): 0}]
+    for _ in range(cap):
+        values.append({(u, b | labels[u]): 0 for v, b in values[-1] for u in succ[v]})
+    last = values[cap]
+    for s in last:
+        last[s] = s[1].bit_count()
+    for d in range(cap - 1, -1, -1):
+        row, below = values[d], values[d + 1]
+        for s in row:
+            v, b = s
+            vals = [below[(u, b | labels[u])] for u in succ[v]]
+            row[s] = max(vals) if owner[v] == PLAYER1 else min(vals)
+    return values
 
 
-def _memo_value(memo, labels, u, b, left):
-    return b.bit_count() if left == 0 else memo[(u, b, left)]
-
-
-def _bounded_strategy(g: LabeledGameGraph, m: int, cap: int, memo: dict) -> TesterStrategy:
+def _bounded_strategy(g: LabeledGameGraph, m: int, cap: int, values) -> TesterStrategy:
     """Argmax moves along every adversary-reachable winning line, keyed
-    with the remaining budget; recursion stops once the goal is met."""
+    with the remaining budget; the walk stops once the goal is met."""
     succ, labels, owner = g.succ, g.labels, g.owner
     moves = {}
     seen = set()
@@ -311,9 +300,10 @@ def _bounded_strategy(g: LabeledGameGraph, m: int, cap: int, memo: dict) -> Test
         if b.bit_count() >= m or left == 0:
             continue
         if owner[v] == PLAYER1:
+            below = values[cap - left + 1]
             for u in succ[v]:
                 nb = b | labels[u]
-                if _memo_value(memo, labels, u, nb, left - 1) >= m:
+                if below[(u, nb)] >= m:
                     moves[(v, b, left)] = u
                     stack.append((u, nb, left - 1))
                     break
@@ -328,7 +318,6 @@ def bounded_coverage_game(
     m: int,
     k: int,
     *,
-    low_memory: bool = False,
     want_strategy: bool = True,
     ap_cap: int = DEFAULT_AP_CAP,
 ) -> GameAnswer:
@@ -336,33 +325,19 @@ def bounded_coverage_game(
     against m.
 
     The effective depth is min(k, |V| * (|AP| + 1)): coverage saturates
-    past that, so deeper budgets cannot change the value. The default
-    path memoizes on (vertex, covered, remaining); low_memory=True
-    replays the tree with the ancestor-label cutoff instead, trading
-    time for space, and returns no strategy.
+    past that, so deeper budgets cannot change the value. Values are
+    kept per (vertex, covered) state and depth, so each is computed
+    once, iteratively.
     """
     _check_game(g, ap_cap)
-    _check_m(g, m)
-    if k < 0:
-        raise MOutOfRangeError(f"k={k} must be >= 0")
+    check_target(g, m, k)
     cap = min(k, g.n * (len(g.ap) + 1))
-    limit = sys.getrecursionlimit()
-    bump = cap * 2 + 100
-    if bump > limit:
-        sys.setrecursionlimit(bump)
-    try:
-        if low_memory:
-            val = _bounded_value_dfs(g, cap)
-            return GameAnswer(val >= m, value=val)
-        memo: dict = {}
-        val = _bounded_value_memo(g, cap, memo)
-        if val < m:
-            return GameAnswer(False, value=val)
-        strategy = _bounded_strategy(g, m, cap, memo) if want_strategy else None
-        return GameAnswer(True, value=val, strategy=strategy)
-    finally:
-        if bump > limit:
-            sys.setrecursionlimit(limit)
+    values = _bounded_values(g, cap)
+    val = values[0][(g.initial, g.labels[g.initial])]
+    if val < m:
+        return GameAnswer(False, value=val)
+    strategy = _bounded_strategy(g, m, cap, values) if want_strategy else None
+    return GameAnswer(True, value=val, strategy=strategy)
 
 
 def strategy_covers(g: LabeledGameGraph, strategy: TesterStrategy, m: int) -> bool:
@@ -374,7 +349,7 @@ def strategy_covers(g: LabeledGameGraph, strategy: TesterStrategy, m: int) -> bo
     an exhausted step budget fails the check.
     """
     require_valid(g)
-    _check_m(g, m)
+    check_target(g, m)
     labels, succ, owner = g.labels, g.succ, g.owner
     start: tuple
     if strategy.budget is None:
@@ -433,38 +408,11 @@ def is_controllably_recurrent_game(g: LabeledGameGraph) -> tuple[bool, int | Non
     vertex reachable in the underlying graph? Returns the verdict and
     the smallest reachable vertex outside the return attractor."""
     require_valid(g)
-    reach = {g.initial}
-    queue = [g.initial]
-    for v in queue:
-        for u in g.succ[v]:
-            if u not in reach:
-                reach.add(u)
-                queue.append(u)
-    pred: list[list[int]] = [[] for _ in range(g.n)]
-    for v in range(g.n):
-        for u in g.succ[v]:
-            pred[u].append(v)
-    # player-1 attractor of {v_in} on the game graph itself
-    inside = [False] * g.n
-    pending = [len(g.succ[v]) for v in range(g.n)]
-    inside[g.initial] = True
-    queue = [g.initial]
-    head = 0
-    while head < len(queue):
-        j = queue[head]
-        head += 1
-        for i in pred[j]:
-            if inside[i]:
-                continue
-            if g.owner[i] == PLAYER1:
-                inside[i] = True
-                queue.append(i)
-            else:
-                pending[i] -= 1
-                if pending[i] == 0:
-                    inside[i] = True
-                    queue.append(i)
-    stray = [v for v in reach if not inside[v]]
+    player1 = [who == PLAYER1 for who in g.owner]
+    inside, _ = _attractor(
+        g.succ, _predecessors(g.succ), player1, [(0, [g.initial])], g.initial
+    )
+    stray = [v for v in _reachable(g.succ, g.initial) if inside[v] is None]
     if stray:
         return False, min(stray)
     return True, None
@@ -473,7 +421,7 @@ def is_controllably_recurrent_game(g: LabeledGameGraph) -> tuple[bool, int | Non
 def _is_end_component(g: LabeledGameGraph, vs: set[int]) -> bool:
     """Strongly connected (an inside move everywhere, so singletons need
     a self-loop) and closed under every player-1 edge."""
-    inside_succ: dict[int, list[int]] = {}
+    inside_succ: list = [()] * g.n
     for v in vs:
         inside = [u for u in g.succ[v] if u in vs]
         if not inside:
@@ -482,27 +430,10 @@ def _is_end_component(g: LabeledGameGraph, vs: set[int]) -> bool:
             return False
         inside_succ[v] = inside
     pivot = min(vs)
-    seen = {pivot}
-    queue = [pivot]
-    for v in queue:
-        for u in inside_succ[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    if seen != vs:
-        return False
-    inside_pred: dict[int, list[int]] = {v: [] for v in vs}
-    for v in vs:
-        for u in inside_succ[v]:
-            inside_pred[u].append(v)
-    seen = {pivot}
-    queue = [pivot]
-    for v in queue:
-        for u in inside_pred[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen == vs
+    return (
+        _reachable(inside_succ, pivot) == vs
+        and _reachable(_predecessors(inside_succ), pivot) == vs
+    )
 
 
 def verify_end_component_witness(
@@ -518,10 +449,7 @@ def verify_end_component_witness(
         return False
     if not _is_end_component(g, vs):
         return False
-    mask = 0
-    for v in vs:
-        mask |= g.labels[v]
-    return mask.bit_count() < m
+    return cover_of(g, vs).bit_count() < m
 
 
 def _subset_masks(g: LabeledGameGraph, subset_budget: int):

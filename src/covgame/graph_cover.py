@@ -11,8 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MOutOfRangeError, NotRecurrentError
-from .model import LabeledGraph, require_valid
+from .errors import NotRecurrentError
+from .model import (
+    LabeledGraph,
+    _predecessors,
+    _reachable,
+    check_target,
+    cover_of,
+    require_valid,
+)
 
 
 @dataclass(frozen=True)
@@ -28,66 +35,60 @@ class GraphAnswer:
     decision: bool
     value: int | None = None
     witness: tuple[int, ...] | None = None
-    steps_used: int | None = None
 
 
-def _check_m(g: LabeledGraph, m: int) -> None:
-    if not 0 <= m <= len(g.ap):
-        raise MOutOfRangeError(f"m={m} outside 0..{len(g.ap)}")
-
-
-def _product_search(g, m, cap, want_witness):
-    """BFS the (vertex, covered) product, at most `cap` edges deep
-    (no cap when None). Returns (found, witness-or-None); with
-    want_witness=False no predecessor map is kept, only the frontier
-    and the dedup set."""
-    start = (g.initial, g.labels[g.initial])
-    if start[1].bit_count() >= m:
-        return True, (g.initial,) if want_witness else None
-    seen = {start}
-    parent = {start: None} if want_witness else None
+def _product_search(g, target, cap, want_witness):
+    """BFS the (vertex, covered) product, at most `cap` edges deep (no
+    cap when None), stopping at the first state covering >= `target`.
+    Returns the coverage of the first state of greatest coverage and the
+    path to it (None unless want_witness). The parent map doubles as the
+    seen set."""
+    labels, succ = g.labels, g.succ
+    start = (g.initial, labels[g.initial])
+    parent = {start: None}
+    best, most = start, start[1].bit_count()
     frontier = [start]
     depth = 0
-    while frontier and (cap is None or depth < cap):
+    while most < target and frontier and (cap is None or depth < cap):
         depth += 1
         nxt = []
-        for v, b in frontier:
-            for u in g.succ[v]:
-                s = (u, b | g.labels[u])
-                if s in seen:
+        for state in frontier:
+            v, b = state
+            for u in succ[v]:
+                s = (u, b | labels[u])
+                if s in parent:
                     continue
-                seen.add(s)
-                if parent is not None:
-                    parent[s] = (v, b)
-                if s[1].bit_count() >= m:
-                    if parent is None:
-                        return True, None
-                    path = []
-                    node = s
-                    while node is not None:
-                        path.append(node[0])
-                        node = parent[node]
-                    path.reverse()
-                    return True, tuple(path)
+                parent[s] = state
+                count = s[1].bit_count()
+                if count > most:
+                    best, most = s, count
+                    if most >= target:
+                        return most, _path(parent, best) if want_witness else None
                 nxt.append(s)
         frontier = nxt
-    return False, None
+    return most, _path(parent, best) if want_witness else None
 
 
-def _answer(found, witness):
-    if not found:
-        return GraphAnswer(False)
-    steps = len(witness) - 1 if witness is not None else None
-    return GraphAnswer(True, witness=witness, steps_used=steps)
+def _path(parent, state):
+    path = []
+    while state is not None:
+        path.append(state[0])
+        state = parent[state]
+    path.reverse()
+    return tuple(path)
+
+
+def _decide(g, m, cap, want_witness):
+    most, witness = _product_search(g, m, cap, want_witness)
+    return GraphAnswer(True, witness=witness) if most >= m else GraphAnswer(False)
 
 
 def max_coverage_graph(g: LabeledGraph, m: int, *, want_witness: bool = True) -> GraphAnswer:
     """Can some path from the initial vertex visit >= m distinct
     propositions? Witnesses are at most m * |V| edges long."""
     require_valid(g)
-    _check_m(g, m)
-    found, wit = _product_search(g, m, None, want_witness)
-    return _answer(found, wit)
+    check_target(g, m)
+    return _decide(g, m, None, want_witness)
 
 
 def bounded_coverage_graph(
@@ -100,53 +101,24 @@ def bounded_coverage_graph(
     ever needed.
     """
     require_valid(g)
-    _check_m(g, m)
-    if k < 0:
-        raise MOutOfRangeError(f"k={k} must be >= 0")
-    found, wit = _product_search(g, m, min(k, m * g.n), want_witness)
-    return _answer(found, wit)
+    check_target(g, m, k)
+    return _decide(g, m, min(k, m * g.n), want_witness)
 
 
 def coverage_value_graph(g: LabeledGraph, *, want_witness: bool = True) -> GraphAnswer:
     """Largest m for which max_coverage_graph says yes, with a witness
-    attaining it. Binary search over m; each probe is one product BFS."""
+    attaining it. One product BFS, which stops early once a state covers
+    every proposition on the reachable vertices."""
     require_valid(g)
-    lo, hi = 0, len(g.ap)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        found, _ = _product_search(g, mid, None, False)
-        if found:
-            lo = mid
-        else:
-            hi = mid - 1
-    found, wit = _product_search(g, lo, None, want_witness)
-    assert found
-    steps = len(wit) - 1 if wit is not None else None
-    return GraphAnswer(True, value=lo, witness=wit, steps_used=steps)
+    union = cover_of(g, _reachable(g.succ, g.initial))
+    most, witness = _product_search(g, union.bit_count(), None, want_witness)
+    return GraphAnswer(True, value=most, witness=witness)
 
 
 def _forward_backward(g: LabeledGraph) -> tuple[set[int], set[int]]:
     """Vertices reachable from the initial vertex, and vertices that can
     reach it. Both by plain BFS, linear in |V| + |E|."""
-    fwd = {g.initial}
-    queue = [g.initial]
-    for v in queue:
-        for u in g.succ[v]:
-            if u not in fwd:
-                fwd.add(u)
-                queue.append(u)
-    pred: list[list[int]] = [[] for _ in range(g.n)]
-    for v in range(g.n):
-        for u in g.succ[v]:
-            pred[u].append(v)
-    bwd = {g.initial}
-    queue = [g.initial]
-    for v in queue:
-        for u in pred[v]:
-            if u not in bwd:
-                bwd.add(u)
-                queue.append(u)
-    return fwd, bwd
+    return _reachable(g.succ, g.initial), _reachable(_predecessors(g.succ), g.initial)
 
 
 def is_controllably_recurrent_graph(g: LabeledGraph) -> tuple[bool, int | None]:
@@ -174,7 +146,4 @@ def max_coverage_recurrent_graph(g: LabeledGraph) -> int:
             raise NotRecurrentError(
                 f"vertex {g.names[v]!r} is reachable but cannot return to the initial vertex"
             )
-    mask = 0
-    for v in fwd:
-        mask |= g.labels[v]
-    return mask.bit_count()
+    return cover_of(g, fwd).bit_count()

@@ -16,7 +16,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import FormatError, InvalidModelError, NotDeterministicError
+from .errors import (
+    FormatError,
+    InvalidModelError,
+    MOutOfRangeError,
+    NotDeterministicError,
+)
 
 PLAYER1 = 1
 PLAYER2 = 2
@@ -304,6 +309,14 @@ def require_valid(model: Model) -> None:
         raise InvalidModelError(report)
 
 
+def check_target(g: LabeledGraph, m: int, k: int | None = None) -> None:
+    """Raise MOutOfRangeError unless 0 <= m <= |AP| and k is None or >= 0."""
+    if not 0 <= m <= len(g.ap):
+        raise MOutOfRangeError(f"m={m} outside 0..{len(g.ap)}")
+    if k is not None and k < 0:
+        raise MOutOfRangeError(f"k={k} must be >= 0")
+
+
 # ---------------------------------------------------------------------------
 # system-tester compilation
 
@@ -384,11 +397,35 @@ def path_check(g: LabeledGraph, path: Sequence[int]) -> bool:
     return all(u in g.succ[v] for v, u in zip(path, path[1:]))
 
 
+def _reachable(succ: Sequence[Sequence[int]], start: int) -> set[int]:
+    """Nodes reachable from `start` along `succ` rows, by BFS."""
+    seen = {start}
+    queue = [start]
+    for v in queue:
+        for u in succ[v]:
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return seen
+
+
+def _predecessors(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Predecessor rows of a successor table, in ascending source order."""
+    pred: list[list[int]] = [[] for _ in succ]
+    for v, row in enumerate(succ):
+        for u in row:
+            pred[u].append(v)
+    return pred
+
+
 def path_from_names(g: LabeledGraph, names: Iterable[str]) -> tuple[int, ...]:
-    try:
-        return tuple(g.id_of[name] for name in names)
-    except KeyError as exc:
-        raise FormatError(f"unknown vertex {exc.args[0]!r} in path") from None
+    ids = []
+    for name in names:
+        v = g.id_of.get(name) if isinstance(name, str) else None
+        if v is None:
+            raise FormatError(f"unknown vertex {name!r}")
+        ids.append(v)
+    return tuple(ids)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import BudgetExceededError, FormatError, MOutOfRangeError
-from .model import PLAYER1, LabeledGameGraph, LabeledGraph, require_valid
+from .errors import BudgetExceededError, FormatError
+from .model import PLAYER1, LabeledGameGraph, LabeledGraph, check_target, require_valid
 
 DEFAULT_BUDGET = 50_000_000
 
@@ -30,11 +30,6 @@ class _Budget:
             raise BudgetExceededError("oracle expansion budget exhausted")
 
 
-def _check_m(g, m):
-    if not 0 <= m <= len(g.ap):
-        raise MOutOfRangeError(f"m={m} outside 0..{len(g.ap)}")
-
-
 def brute_force_graph(
     g: LabeledGraph, m: int, k: int | None = None, budget: int = DEFAULT_BUDGET
 ) -> bool:
@@ -47,9 +42,7 @@ def brute_force_graph(
     the search finite without any cross-branch state.
     """
     require_valid(g)
-    _check_m(g, m)
-    if k is not None and k < 0:
-        raise MOutOfRangeError(f"k={k} must be >= 0")
+    check_target(g, m, k)
     depth = m * g.n if k is None else min(k, m * g.n)
     succ, labels = g.succ, g.labels
     b0 = labels[g.initial]
@@ -111,9 +104,7 @@ def brute_force_game(
     any/all evaluation. No label-repeat cutoff, no memoization.
     """
     require_valid(g)
-    _check_m(g, m)
-    if k is not None and k < 0:
-        raise MOutOfRangeError(f"k={k} must be >= 0")
+    check_target(g, m, k)
     depth = g.n * (len(g.ap) + 1) if k is None else k
     succ, labels, owner = g.succ, g.labels, g.owner
     potential = _props_reachable(g)

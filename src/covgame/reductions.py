@@ -323,47 +323,17 @@ def hampath_to_bounded(h: Digraph, start: str) -> GadgetResult:
 # source-problem parsers
 
 
-def parse_dimacs(text: str) -> CnfFormula:
-    """Standard DIMACS CNF; the preamble is optional and clause counts
-    are taken from the clauses actually present."""
-    declared = None
-    clauses: list[tuple[int, ...]] = []
-    current: list[int] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line[0] in "c%":
-            continue
-        if line[0] == "p":
-            parts = line.split()
-            if len(parts) < 4 or parts[1] != "cnf":
-                raise FormatError(f"bad preamble {line!r}")
-            declared = int(parts[2])
-            continue
-        if line[0] in "ea":
-            raise FormatError("quantifier lines found; parse as QDIMACS instead")
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise FormatError(f"bad literal {tok!r}") from None
-            if lit == 0:
-                clauses.append(tuple(current))
-                current = []
-            else:
-                current.append(lit)
-    if current:
-        clauses.append(tuple(current))
-    num_vars = declared
-    if num_vars is None:
-        num_vars = max((abs(l) for cl in clauses for l in cl), default=0)
-    phi = CnfFormula(num_vars, tuple(clauses))
-    phi.check()
-    return phi
+def _dimacs_int(tok: str, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise FormatError(f"bad {what} {tok!r}") from None
 
 
-def parse_qdimacs(text: str) -> QbfFormula:
-    """QDIMACS: `e`/`a` quantifier lines (in order) before the clauses;
-    unbound variables become outermost existentials."""
+def _scan_dimacs(text: str, quantified: bool):
+    """Preamble, `e`/`a` quantifier lines (QDIMACS only, before the
+    first clause) and zero-terminated clauses. The variable count is the
+    declared one, else the largest variable used."""
     declared = None
     prefix: list[tuple[str, int]] = []
     clauses: list[tuple[int, ...]] = []
@@ -376,25 +346,23 @@ def parse_qdimacs(text: str) -> QbfFormula:
             parts = line.split()
             if len(parts) < 4 or parts[1] != "cnf":
                 raise FormatError(f"bad preamble {line!r}")
-            declared = int(parts[2])
+            declared = _dimacs_int(parts[2], "variable count")
             continue
         if line[0] in "ea":
-            q, rest = line[0], line[1:].split()
+            if not quantified:
+                raise FormatError("quantifier lines found; parse as QDIMACS instead")
             if clauses or current:
                 raise FormatError("quantifier line after the first clause")
-            for tok in rest:
-                var = int(tok)
+            for tok in line[1:].split():
+                var = _dimacs_int(tok, "variable")
                 if var == 0:
                     break
                 if var < 0:
                     raise FormatError("quantifier lines take positive variables")
-                prefix.append((q, var))
+                prefix.append((line[0], var))
             continue
         for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise FormatError(f"bad literal {tok!r}") from None
+            lit = _dimacs_int(tok, "literal")
             if lit == 0:
                 clauses.append(tuple(current))
                 current = []
@@ -406,9 +374,24 @@ def parse_qdimacs(text: str) -> QbfFormula:
     if num_vars is None:
         used = {abs(l) for cl in clauses for l in cl} | {v for _, v in prefix}
         num_vars = max(used, default=0)
+    return prefix, CnfFormula(num_vars, tuple(clauses))
+
+
+def parse_dimacs(text: str) -> CnfFormula:
+    """Standard DIMACS CNF; the preamble is optional and clause counts
+    are taken from the clauses actually present."""
+    _, phi = _scan_dimacs(text, quantified=False)
+    phi.check()
+    return phi
+
+
+def parse_qdimacs(text: str) -> QbfFormula:
+    """QDIMACS: `e`/`a` quantifier lines (in order) before the clauses;
+    unbound variables become outermost existentials."""
+    prefix, matrix = _scan_dimacs(text, quantified=True)
     bound = {var for _, var in prefix}
-    free = [("e", var) for var in range(1, num_vars + 1) if var not in bound]
-    phi = QbfFormula(tuple(free + prefix), CnfFormula(num_vars, tuple(clauses)))
+    free = [("e", var) for var in range(1, matrix.num_vars + 1) if var not in bound]
+    phi = QbfFormula(tuple(free + prefix), matrix)
     phi.check()
     return phi
 

@@ -241,6 +241,65 @@ class TestCertify:
         assert main(["certify", path, "--witness", witness, "--m", "3"]) == 1
 
 
+STRATEGY_GAME = {
+    "ap": ["p"],
+    "initial": "v0",
+    "edges": [["v0", "v0"]],
+    "vertices": [{"id": "v0", "props": ["p"], "owner": 1}],
+}
+
+
+class TestMalformedInputs:
+    """Malformed input is a usage error: exit 2 and one `error:` line."""
+
+    @staticmethod
+    def assert_usage_error(capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "reduction, text",
+        [
+            ("sat", "p cnf x 2\n1 2 0\n"),
+            ("qbf", "p cnf 2 1\ne 1 x 0\n1 2 0\n"),
+        ],
+    )
+    def test_non_integer_dimacs_token(self, capsys, tmp_path, reduction, text):
+        path = write(tmp_path, text, "phi.txt")
+        self.assert_usage_error(capsys, ["gadget", reduction, path])
+
+    @pytest.mark.parametrize(
+        "witness",
+        [
+            {"kind": "strategy", "m": 1, "entries": [{"vertex": "v0"}]},
+            {"kind": "strategy", "m": 1,
+             "entries": [{"vertex": "zz", "covered": [], "choose": "v0"}]},
+            {"kind": "strategy", "m": 1, "budget": 2,
+             "entries": [{"vertex": "v0", "covered": [], "choose": "v0"}]},
+            {"kind": "strategy", "m": 1,
+             "entries": [{"vertex": "v0", "covered": "p", "choose": "v0"}]},
+            {"kind": "end-component", "m": "x", "vertices": ["v0"]},
+            {"kind": "strategy", "m": 1,
+             "entries": [{"vertex": ["v0"], "covered": [], "choose": "v0"}]},
+            {"kind": "strategy", "m": 1, "budget": -1, "entries": []},
+        ],
+        ids=["missing-keys", "unknown-vertex", "missing-remaining",
+             "covered-not-a-list", "string-m", "vertex-not-a-name",
+             "negative-budget"],
+    )
+    def test_malformed_witness(self, capsys, tmp_path, witness):
+        game = write(tmp_path, json.dumps(STRATEGY_GAME), "game.cov")
+        path = write(tmp_path, json.dumps(witness), "witness.json")
+        self.assert_usage_error(capsys, ["certify", game, "--witness", path])
+
+    def test_bool_owner(self, capsys, tmp_path):
+        obj = json.loads(json.dumps(STRATEGY_GAME))
+        obj["vertices"][0]["owner"] = True
+        path = write(tmp_path, json.dumps(obj), "game.cov")
+        self.assert_usage_error(capsys, ["solve", path, "--m", "1"])
+
+
 class TestVerify:
     def test_oracle_agrees_with_solver(self, capsys, triangle_file):
         assert main(["verify", triangle_file, "--m", "3"]) == 0

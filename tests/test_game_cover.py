@@ -2,6 +2,7 @@
 end components, and minimal safety."""
 
 import random
+import sys
 
 import pytest
 
@@ -128,33 +129,52 @@ class TestBoundedCoverageGame:
                     )
 
     def test_low_memory_mode_agrees(self):
+        # what the CLI's --low-memory asks for: the same answer, no strategy
         rng = random.Random(71)
         for _ in range(40):
             g = random_game(rng)
             m = rng.randint(0, len(g.ap))
             k = rng.randint(0, 6)
             fast = bounded_coverage_game(g, m, k)
-            lean = bounded_coverage_game(g, m, k, low_memory=True)
+            lean = bounded_coverage_game(g, m, k, want_strategy=False)
             assert fast.decision == lean.decision
             assert fast.value == lean.value
             assert lean.strategy is None
 
     def test_deep_budgets_saturate_to_attractor(self):
-        # the ancestor-cutoff replay, the memoized recursion, and the
-        # attractor must all coincide once the budget passes saturation
+        # the bounded minimax agrees with the oracle at a short budget and
+        # with the attractor once the budget passes saturation
         rng = random.Random(424242)
         for _ in range(60):
             g = random_game(rng, max_v=5, max_ap=2)
             horizon = g.n * (len(g.ap) + 1)
             for m in range(len(g.ap) + 1):
-                for k in (7, horizon):
-                    fast = bounded_coverage_game(g, m, k, want_strategy=False)
-                    lean = bounded_coverage_game(g, m, k, low_memory=True)
-                    assert fast.value == lean.value
                 assert (
-                    bounded_coverage_game(g, m, horizon, low_memory=True).decision
+                    bounded_coverage_game(g, m, 7, want_strategy=False).decision
+                    == oracle.brute_force_game(g, m, 7)
+                )
+                assert (
+                    bounded_coverage_game(g, m, horizon, want_strategy=False).decision
                     == max_coverage_game(g, m, want_strategy=False).decision
                 )
+
+    def test_solver_leaves_recursion_limit_alone(self, monkeypatch):
+        # solvers are pure: a deep budget must not touch process state
+        def refuse(limit):
+            raise AssertionError("a solver changed the recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        n = 3000
+        props = {0: ["p"], n // 3: ["q"], 2 * n // 3: ["r"]}
+        g = LabeledGameGraph.make_game(
+            ["p", "q", "r"],
+            [(f"v{i}", props.get(i, []), 1) for i in range(n)],
+            [(f"v{i}", f"v{(i + 1) % n}") for i in range(n)],
+            "v0",
+        )
+        ans = bounded_coverage_game(g, 3, 3 * n)
+        assert ans.value == 3
+        assert strategy_covers(g, ans.strategy, 3)
 
 
 class TestStrategies:

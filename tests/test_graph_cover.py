@@ -37,7 +37,7 @@ class TestMaxCoverage:
         ans = max_coverage_graph(branch_graph, 0)
         assert ans.decision
         assert ans.witness == (branch_graph.initial,)
-        assert ans.steps_used == 0
+        assert len(ans.witness) - 1 == 0
 
     def test_m_out_of_range(self, triangle):
         with pytest.raises(MOutOfRangeError):
@@ -140,13 +140,13 @@ class TestWitnessDiscipline:
                 if ans.decision:
                     assert path_check(g, ans.witness)
                     assert cover_of(g, ans.witness).bit_count() >= m
-                    assert ans.steps_used <= m * g.n
+                    assert len(ans.witness) - 1 <= m * g.n
                 k = rng.randint(0, 6)
                 bans = bounded_coverage_graph(g, m, k)
                 if bans.decision:
                     assert path_check(g, bans.witness)
                     assert cover_of(g, bans.witness).bit_count() >= m
-                    assert bans.steps_used <= k
+                    assert len(bans.witness) - 1 <= k
 
     def test_deterministic_witnesses(self):
         rng = random.Random(31)

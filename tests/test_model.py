@@ -191,6 +191,12 @@ class TestSerialization:
         with pytest.raises(FormatError):
             formats.loads("not json")
 
+    def test_bool_owner_rejected(self, adversarial_game):
+        obj = formats.render_obj(adversarial_game)
+        obj["vertices"][0]["owner"] = True  # True == 1, but not a player id
+        with pytest.raises(FormatError):
+            formats.parse_obj(obj)
+
     def test_dot_export_shapes(self, adversarial_game, triangle):
         dot = formats.to_dot(adversarial_game)
         assert "diamond" in dot and "box" in dot
