@@ -312,7 +312,7 @@ def _cmd_certify(args) -> int:
         raise FormatError(f"witness target m={m!r} is not an integer")
     kind = inner["kind"]
     if kind == "path":
-        path = path_from_names(model, inner.get("vertices", ()))
+        path = _witness_vertices(model, inner)
         valid = path_check(model, path)
         if valid and m is not None:
             valid = cover_of(model, path).bit_count() >= m
@@ -328,13 +328,21 @@ def _cmd_certify(args) -> int:
             raise FormatError("an end-component certificate needs a game model")
         if m is None:
             raise FormatError("certifying an end component needs --m")
-        vertices = path_from_names(model, inner.get("vertices", ()))
+        vertices = _witness_vertices(model, inner)
         valid = verify_end_component_witness(model, vertices, m)
     else:
         raise FormatError(f"unknown witness kind {kind!r}")
     out = {"command": "certify", "witness_kind": kind, "m": m, "valid": valid}
     _emit(args, out, [f"witness {'valid' if valid else 'INVALID'}"])
     return 0 if valid else 1
+
+
+def _witness_vertices(model, inner: dict) -> tuple[int, ...]:
+    """The vertex ids a path or end-component witness lists by name."""
+    names = inner.get("vertices")
+    if not isinstance(names, list):
+        raise FormatError(f"{inner['kind']} witness: vertices must be a list of names")
+    return path_from_names(model, names)
 
 
 def _cmd_export_dot(args) -> int:

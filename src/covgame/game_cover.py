@@ -6,9 +6,13 @@ player-1 attractor of the states whose covered set is large enough. The
 goals {covered >= t} are nested, so one incremental attractor yields
 every level, and the successor through which each tester state entered
 gives a finite-memory strategy whose memory is exactly the covered set.
-Bounded coverage is a depth-capped minimax over the same state space. End components of the uniform-random
-interpretation answer the recurrent-game and minimal-safety questions at
-desk scale.
+A decision query at m builds only the states it depends on: states
+covering >= m are goal leaves, seeded into the attractor and never
+expanded. The value query builds the whole reachable product.
+
+Bounded coverage is a depth-capped minimax over the same state space.
+End components of the uniform-random interpretation answer the
+recurrent-game and minimal-safety questions at desk scale.
 """
 
 from __future__ import annotations
@@ -138,40 +142,54 @@ def _check_game(g: LabeledGameGraph, ap_cap: int) -> None:
 
 class _Product:
     """Reachable part of the (vertex, covered) product, built breadth
-    first from (v_in, L(v_in)); only reachable states are materialized.
-    State 0 is the initial state; successor rows follow the game's
-    ascending-vertex order."""
+    first from (v_in, L(v_in)); only reachable states are materialized,
+    and states covering >= `goal` are leaves that are never expanded.
 
-    __slots__ = ("states", "succ", "pred", "player1")
+    State i is the pair (vert[i], cov[i]); state 0 is the initial state.
+    The lookup key of a state is the integer cov * n + v, so no tuple is
+    made per state. Predecessor rows are filled during the build, in
+    ascending source order, and `pending` holds each state's out-degree.
+    """
 
-    def __init__(self, g: LabeledGameGraph):
-        labels = g.labels
-        start = (g.initial, labels[g.initial])
-        states = [start]
-        index = {start: 0}
-        succ: list[list[int]] = []
-        for v, b in states:
-            row = []
-            for u in g.succ[v]:
-                s = (u, b | labels[u])
-                j = index.get(s)
+    __slots__ = ("vert", "cov", "pred", "pending", "player1")
+
+    def __init__(self, g: LabeledGameGraph, goal: int):
+        n, labels, succ = g.n, g.labels, g.succ
+        v0 = g.initial
+        vert, cov = [v0], [labels[v0]]
+        index = {labels[v0] * n + v0: 0}
+        pred: list[list[int]] = [[]]
+        for i, v in enumerate(vert):
+            b = cov[i]
+            if b.bit_count() >= goal:
+                continue
+            for u in succ[v]:
+                c = b | labels[u]
+                key = c * n + u
+                j = index.get(key)
                 if j is None:
-                    j = index[s] = len(states)
-                    states.append(s)
-                row.append(j)
-            succ.append(row)
-        self.states = states
-        self.succ = succ
-        self.pred = _predecessors(succ)
-        self.player1 = [g.owner[v] == PLAYER1 for v, _ in states]
+                    index[key] = len(vert)
+                    vert.append(u)
+                    cov.append(c)
+                    pred.append([i])
+                else:
+                    pred[j].append(i)
+        degree = [len(row) for row in succ]
+        player1 = [who == PLAYER1 for who in g.owner]
+        self.vert = vert
+        self.cov = cov
+        self.pred = pred
+        self.pending = [degree[v] for v in vert]
+        self.player1 = [player1[v] for v in vert]
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.vert)
 
 
-def _attractor(succ, pred, player1, levels, stop):
+def _attractor(pending, pred, player1, levels, stop):
     """Nested player-1 attractor, computed incrementally.
 
+    `pending` holds each node's successor count and is consumed.
     `levels` yields (level, seeds) pairs from the highest level down; the
     targets are nested, so each level extends the previous attractor,
     keeping the pending successor counters of player-2 nodes. Stops
@@ -183,7 +201,6 @@ def _attractor(succ, pred, player1, levels, stop):
     """
     entered: list[int | None] = [None] * len(pred)
     cause = [-1] * len(pred)
-    pending = [len(row) for row in succ]
     for level, seeds in levels:
         queue = [i for i in seeds if entered[i] is None]
         for i in queue:
@@ -205,26 +222,27 @@ def _attractor(succ, pred, player1, levels, stop):
     return entered, cause
 
 
-def _solve_product(g: LabeledGameGraph, floor: int):
+def _solve_product(g: LabeledGameGraph, floor: int, goal: int):
     """Nested attractor of the goals {covered >= t}, t = |AP| down to
-    `floor`, over the product. The initial state's entry level is the
-    coverage value, or None when the value is below `floor`."""
-    prod = _Product(g)
+    `floor`, over the product whose states covering >= `goal` are
+    leaves. The initial state's entry level is the coverage value, or
+    None when the value is below `floor`."""
+    prod = _Product(g, goal)
     by_count: list[list[int]] = [[] for _ in range(len(g.ap) + 1)]
-    for i, (_, b) in enumerate(prod.states):
+    for i, b in enumerate(prod.cov):
         by_count[b.bit_count()].append(i)
     levels = ((t, by_count[t]) for t in range(len(g.ap), floor - 1, -1))
-    entered, cause = _attractor(prod.succ, prod.pred, prod.player1, levels, 0)
+    entered, cause = _attractor(prod.pending, prod.pred, prod.player1, levels, 0)
     return prod, entered, cause
 
 
 def _cause_strategy(prod: _Product, entered, cause, m: int) -> TesterStrategy:
     """The cause move of every attracted player-1 state covering < m."""
-    states = prod.states
+    vert, cov, player1 = prod.vert, prod.cov, prod.player1
     return TesterStrategy({
-        states[i]: states[cause[i]][0]
-        for i, (_, b) in enumerate(states)
-        if entered[i] is not None and prod.player1[i] and b.bit_count() < m
+        (vert[i], b): vert[cause[i]]
+        for i, b in enumerate(cov)
+        if entered[i] is not None and player1[i] and b.bit_count() < m
     })
 
 
@@ -239,7 +257,7 @@ def max_coverage_game(
     no matter how the system plays?"""
     _check_game(g, ap_cap)
     check_target(g, m)
-    prod, entered, cause = _solve_product(g, m)
+    prod, entered, cause = _solve_product(g, m, m)
     if entered[0] is None:
         return GameAnswer(False)
     strategy = _cause_strategy(prod, entered, cause, m) if want_strategy else None
@@ -255,7 +273,7 @@ def coverage_value_game(
     """Largest enforceable coverage: the level at which the initial
     state enters the nested attractor, in one pass over the product."""
     _check_game(g, ap_cap)
-    prod, entered, cause = _solve_product(g, 0)
+    prod, entered, cause = _solve_product(g, 0, len(g.ap) + 1)
     value = entered[0]
     strategy = _cause_strategy(prod, entered, cause, value) if want_strategy else None
     return GameAnswer(True, value=value, strategy=strategy)
@@ -408,9 +426,12 @@ def is_controllably_recurrent_game(g: LabeledGameGraph) -> tuple[bool, int | Non
     vertex reachable in the underlying graph? Returns the verdict and
     the smallest reachable vertex outside the return attractor."""
     require_valid(g)
-    player1 = [who == PLAYER1 for who in g.owner]
     inside, _ = _attractor(
-        g.succ, _predecessors(g.succ), player1, [(0, [g.initial])], g.initial
+        [len(row) for row in g.succ],
+        _predecessors(g.succ),
+        [who == PLAYER1 for who in g.owner],
+        [(0, [g.initial])],
+        g.initial,
     )
     stray = [v for v in _reachable(g.succ, g.initial) if inside[v] is None]
     if stray:

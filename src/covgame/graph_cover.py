@@ -5,6 +5,12 @@ first with successors in ascending vertex id, so decisions and witnesses
 are deterministic and witnesses come out shortest-first. The covered set
 only grows along a path, hence the product is finite and a state first
 reached at some depth dominates every later arrival.
+
+The search is pruned by a reachable-label bound: with R[v] the label
+union of the vertices reachable from v, no path through (v, b) covers
+more than |b | R[v]|. A state whose bound cannot beat the best coverage
+found so far, or cannot reach the target m of a decision query, is
+never enqueued. Pruning keeps every answer and witness exact.
 """
 
 from __future__ import annotations
@@ -37,16 +43,81 @@ class GraphAnswer:
     witness: tuple[int, ...] | None = None
 
 
-def _product_search(g, target, cap, want_witness):
+def _reach_labels(g) -> list[int]:
+    """R[v], the label union of the vertices reachable from v (v
+    included), for every v reachable from the initial vertex.
+
+    One iterative Tarjan pass, linear in |V| + |E|. Components complete
+    sinks first, so when a component completes, the unions of the
+    components its edges leave to are final, and its own union is its
+    labels plus those.
+    """
+    succ = g.succ
+    reach = list(g.labels)
+    num = [0] * g.n  # discovery order from 1; 0 = unvisited
+    low = [0] * g.n
+    on_stack = [False] * g.n
+    stack: list[int] = []
+    v = g.initial
+    count = num[v] = low[v] = 1
+    on_stack[v] = True
+    stack.append(v)
+    frames = [(v, iter(succ[v]))]
+    while frames:
+        v, rest = frames[-1]
+        for u in rest:
+            if not num[u]:
+                count += 1
+                num[u] = low[u] = count
+                on_stack[u] = True
+                stack.append(u)
+                frames.append((u, iter(succ[u])))
+                break
+            if on_stack[u]:
+                low[v] = min(low[v], num[u])
+            else:
+                reach[v] |= reach[u]
+        else:
+            frames.pop()
+            if low[v] == num[v]:
+                members = []
+                union = 0
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    members.append(w)
+                    union |= reach[w]
+                    if w == v:
+                        break
+                for w in members:
+                    reach[w] = union
+            if frames:
+                p = frames[-1][0]
+                low[p] = min(low[p], low[v])
+                reach[p] |= reach[v]
+    return reach
+
+
+def _product_search(g, m, cap, want_witness):
     """BFS the (vertex, covered) product, at most `cap` edges deep (no
-    cap when None), stopping at the first state covering >= `target`.
-    Returns the coverage of the first state of greatest coverage and the
-    path to it (None unless want_witness). The parent map doubles as the
-    seen set."""
+    cap when None). Returns the coverage of the first state of greatest
+    coverage and the path to it (None unless want_witness). The parent
+    map doubles as the seen set.
+
+    A decision query (m set) stops at the first state covering >= m; a
+    value query (m None) stops at R[v_in], the most any path can cover.
+    A state (v, b) is not enqueued when |b | R[v]| cannot exceed the
+    best coverage found so far, or, for a decision, is below m: nothing
+    after it can change the answer, so the pruned search finds the same
+    first best state as the full one. For a decision that fails, the
+    returned coverage may then be below the true maximum."""
     labels, succ = g.labels, g.succ
+    reach = _reach_labels(g)
     start = (g.initial, labels[g.initial])
     parent = {start: None}
     best, most = start, start[1].bit_count()
+    target = reach[g.initial].bit_count() if m is None else m
+    floor = most if m is None else max(most, m - 1)
     frontier = [start]
     depth = 0
     while most < target and frontier and (cap is None or depth < cap):
@@ -55,15 +126,19 @@ def _product_search(g, target, cap, want_witness):
         for state in frontier:
             v, b = state
             for u in succ[v]:
-                s = (u, b | labels[u])
+                c = b | labels[u]
+                if (c | reach[u]).bit_count() <= floor:
+                    continue
+                s = (u, c)
                 if s in parent:
                     continue
                 parent[s] = state
-                count = s[1].bit_count()
+                count = c.bit_count()
                 if count > most:
                     best, most = s, count
                     if most >= target:
                         return most, _path(parent, best) if want_witness else None
+                    floor = max(floor, most)
                 nxt.append(s)
         frontier = nxt
     return most, _path(parent, best) if want_witness else None
@@ -110,8 +185,7 @@ def coverage_value_graph(g: LabeledGraph, *, want_witness: bool = True) -> Graph
     attaining it. One product BFS, which stops early once a state covers
     every proposition on the reachable vertices."""
     require_valid(g)
-    union = cover_of(g, _reachable(g.succ, g.initial))
-    most, witness = _product_search(g, union.bit_count(), None, want_witness)
+    most, witness = _product_search(g, None, None, want_witness)
     return GraphAnswer(True, value=most, witness=witness)
 
 

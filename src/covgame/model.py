@@ -180,12 +180,12 @@ class SystemAutomaton:
         letter_id = _index_names(alphabet, "letter")
         trans = set()
         for q, a, r in transitions:
-            try:
-                trans.add((state_id[q], letter_id[a], state_id[r]))
-            except KeyError as exc:
-                raise FormatError(f"unknown transition component {exc.args[0]!r}") from None
-        if initial not in state_id:
-            raise FormatError(f"unknown initial state {initial!r}")
+            trans.add((
+                _name_id(state_id, q, "transition state"),
+                _name_id(letter_id, a, "transition letter"),
+                _name_id(state_id, r, "transition state"),
+            ))
+        init = _name_id(state_id, initial, "initial state")
         for name in labels:
             if name not in state_id:
                 raise FormatError(f"label for unknown state {name!r}")
@@ -195,7 +195,7 @@ class SystemAutomaton:
             tuple(states),
             tuple(alphabet),
             tuple(sorted(trans)),
-            state_id[initial],
+            init,
             label_masks,
         )
 
@@ -226,10 +226,21 @@ Model = LabeledGraph | LabeledGameGraph | SystemAutomaton
 def _index_names(names: Sequence[str], what: str) -> dict[str, int]:
     index: dict[str, int] = {}
     for i, name in enumerate(names):
+        if not isinstance(name, str):
+            raise FormatError(f"{what} names must be strings, not {name!r}")
         if name in index:
             raise FormatError(f"duplicate {what} {name!r}")
         index[name] = i
     return index
+
+
+def _name_id(index: dict[str, int], name, what: str) -> int:
+    """The id of `name`; FormatError unless it is a string in `index`
+    (a name read from JSON may be any value, even an unhashable one)."""
+    i = index.get(name) if isinstance(name, str) else None
+    if i is None:
+        raise FormatError(f"unknown {what} {name!r}")
+    return i
 
 
 def _resolve_parts(ap, vertices, edges, initial):
@@ -238,14 +249,10 @@ def _resolve_parts(ap, vertices, edges, initial):
     labels = tuple(names_mask(ap, props) for _, props in vertices)
     rows: list[set[int]] = [set() for _ in names]
     for src, dst in edges:
-        try:
-            rows[vid[src]].add(vid[dst])
-        except KeyError as exc:
-            raise FormatError(f"edge endpoint {exc.args[0]!r} is not a vertex") from None
-    if initial not in vid:
-        raise FormatError(f"unknown initial vertex {initial!r}")
+        rows[_name_id(vid, src, "edge endpoint")].add(_name_id(vid, dst, "edge endpoint"))
+    init = _name_id(vid, initial, "initial vertex")
     succ = tuple(tuple(sorted(row)) for row in rows)
-    return names, succ, labels, vid[initial]
+    return names, succ, labels, init
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +426,7 @@ def _predecessors(succ: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def path_from_names(g: LabeledGraph, names: Iterable[str]) -> tuple[int, ...]:
-    ids = []
-    for name in names:
-        v = g.id_of.get(name) if isinstance(name, str) else None
-        if v is None:
-            raise FormatError(f"unknown vertex {name!r}")
-        ids.append(v)
-    return tuple(ids)
+    return tuple(_name_id(g.id_of, name, "vertex") for name in names)
 
 
 # ---------------------------------------------------------------------------

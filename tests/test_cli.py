@@ -293,6 +293,41 @@ class TestMalformedInputs:
         path = write(tmp_path, json.dumps(witness), "witness.json")
         self.assert_usage_error(capsys, ["certify", game, "--witness", path])
 
+    @pytest.mark.parametrize(
+        "witness",
+        [
+            {"kind": "path", "m": 1, "vertices": "ab"},
+            {"kind": "end-component", "m": 3, "vertices": "ab"},
+        ],
+        ids=["path", "end-component"],
+    )
+    def test_witness_vertices_string(self, capsys, tmp_path, witness):
+        # "ab" must not be read as the vertex sequence a, b
+        game = {
+            "ap": ["p", "q"],
+            "initial": "a",
+            "edges": [["a", "b"], ["b", "a"]],
+            "vertices": [{"id": "a", "props": ["p"], "owner": 1},
+                         {"id": "b", "props": ["q"], "owner": 1}],
+        }
+        model = write(tmp_path, json.dumps(game), "game.cov")
+        path = write(tmp_path, json.dumps(witness), "witness.json")
+        self.assert_usage_error(capsys, ["certify", model, "--witness", path])
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"ap": [], "initial": "a", "vertices": [{"id": "a"}],
+             "edges": [["a", ["a"]]]},
+            {"states": ["q"], "alphabet": ["x"], "initial": "q",
+             "transitions": [["q", "x", ["q"]]]},
+        ],
+        ids=["list-edge-endpoint", "list-transition-state"],
+    )
+    def test_unhashable_model_component(self, capsys, tmp_path, model):
+        path = write(tmp_path, json.dumps(model), "model.cov")
+        self.assert_usage_error(capsys, ["solve", path, "--m", "0"])
+
     def test_bool_owner(self, capsys, tmp_path):
         obj = json.loads(json.dumps(STRATEGY_GAME))
         obj["vertices"][0]["owner"] = True

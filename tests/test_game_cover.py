@@ -235,15 +235,18 @@ class TestProduct:
         rng = random.Random(89)
         for _ in range(40):
             g = random_game(rng)
-            prod = _Product(g)
-            assert len(prod) <= g.n * 2 ** len(g.ap)
-            for v, b in prod.states:
-                # only states whose covered set absorbed the vertex label
-                assert b & g.labels[v] == g.labels[v]
-            # monotone covered component along every edge
-            for i, row in enumerate(prod.succ):
-                for j in row:
-                    assert prod.states[i][1] & prod.states[j][1] == prod.states[i][1]
+            for goal in range(1, len(g.ap) + 2):
+                prod = _Product(g, goal)
+                assert len(prod) <= g.n * 2 ** len(g.ap)
+                for v, b in zip(prod.vert, prod.cov):
+                    # only states whose covered set absorbed the vertex label
+                    assert b & g.labels[v] == g.labels[v]
+                for j, row in enumerate(prod.pred):
+                    for i in row:
+                        # monotone covered component along every edge
+                        assert prod.cov[i] & prod.cov[j] == prod.cov[i]
+                        # states covering >= goal are leaves, never expanded
+                        assert prod.cov[i].bit_count() < goal
 
 
 class TestRecurrenceGame:
