@@ -51,10 +51,6 @@ from .reductions import (
     vc_to_game,
 )
 
-# How large a game still gets an end-component certificate on a NO
-# answer (the search is exponential in |V|).
-CERTIFICATE_VERTEX_LIMIT = 16
-
 
 def _read_text(path: str) -> str:
     if path == "-":
@@ -141,16 +137,11 @@ def _witness_lines(obj) -> list[str]:
 
 
 def _no_certificate(g, m):
-    """End-component certificate for a NO answer on a recurrent game."""
-    if not isinstance(g, LabeledGameGraph) or g.n > CERTIFICATE_VERTEX_LIMIT:
+    """End-component certificate for a NO answer on a recurrent game,
+    where the cheapest end component covers exactly the value."""
+    if not isinstance(g, LabeledGameGraph) or not is_controllably_recurrent_game(g)[0]:
         return None
-    recurrent, _ = is_controllably_recurrent_game(g)
-    if not recurrent:
-        return None
-    try:
-        ec, count = min_cover_end_component(g)
-    except CoverageError:
-        return None
+    ec, count = min_cover_end_component(g)
     return _ec_obj(g, ec, m) if count < m else None
 
 

@@ -30,8 +30,10 @@ def sniff_kind(obj: dict) -> str:
     """Infer the model kind from the fields present."""
     if "states" in obj:
         return "system"
-    vertices = obj.get("vertices", ())
-    if any(isinstance(v, dict) and "owner" in v for v in vertices):
+    vertices = obj.get("vertices")
+    if isinstance(vertices, list) and any(
+        isinstance(v, dict) and "owner" in v for v in vertices
+    ):
         return "game"
     return "graph"
 
@@ -119,6 +121,8 @@ def _parse_system(obj: dict) -> SystemAutomaton:
     label_map = {q: _prop_list(props, f"state {q}") for q, props in labels.items()}
     ap = _collect_ap(obj, label_map.values())
     transitions = obj.get("transitions", [])
+    if not isinstance(transitions, list):
+        raise FormatError("transitions must be a list of [state, letter, state] triples")
     trios = []
     for t in transitions:
         if not (isinstance(t, (list, tuple)) and len(t) == 3):

@@ -11,18 +11,21 @@ covering >= m are goal leaves, seeded into the attractor and never
 expanded. The value query builds the whole reachable product.
 
 Bounded coverage is a depth-capped minimax over the same state space.
-End components of the uniform-random interpretation answer the
-recurrent-game and minimal-safety questions at desk scale.
+End components and minimal safety need no product: for each
+proposition set P, by increasing size, the game is restricted to the
+vertices labeled within P and searched for a maximal end component (or
+a trap) through the initial vertex, at most 2^|AP| passes of linear
+attractor and reachability sweeps.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (
     ApCapExceededError,
-    BudgetExceededError,
     FormatError,
     NotRecurrentError,
 )
@@ -426,35 +429,73 @@ def is_controllably_recurrent_game(g: LabeledGameGraph) -> tuple[bool, int | Non
     vertex reachable in the underlying graph? Returns the verdict and
     the smallest reachable vertex outside the return attractor."""
     require_valid(g)
-    inside, _ = _attractor(
-        [len(row) for row in g.succ],
-        _predecessors(g.succ),
-        [who == PLAYER1 for who in g.owner],
-        [(0, [g.initial])],
-        g.initial,
-    )
+    inside, _ = _attractor(*_arena(g), [(0, [g.initial])], g.initial)
     stray = [v for v in _reachable(g.succ, g.initial) if inside[v] is None]
     if stray:
         return False, min(stray)
     return True, None
 
 
+def _arena(g: LabeledGameGraph):
+    """The attractor kernel's input over the game graph itself: out-degrees
+    (consumed by the kernel), predecessor rows and player-1 flags."""
+    player1 = [who == PLAYER1 for who in g.owner]
+    return [len(row) for row in g.succ], _predecessors(g.succ), player1
+
+
+def _trap(g: LabeledGameGraph, arena, allowed: set[int]) -> set[int]:
+    """Vertices of `allowed` from which the system keeps the play inside
+    it forever: the complement of the player-1 attractor of the rest.
+    `arena` is built once per query; its degrees are copied per call."""
+    degree, pred, player1 = arena
+    outside = [v for v in range(g.n) if v not in allowed]
+    entered, _ = _attractor(list(degree), pred, player1, [(0, outside)], g.initial)
+    return {v for v in allowed if entered[v] is None}
+
+
+def _inside(succ, vs: set[int]) -> list[list[int]]:
+    """Successor rows restricted to the edges between vertices of `vs`."""
+    return [[u for u in row if u in vs] if v in vs else [] for v, row in enumerate(succ)]
+
+
+def _end_component_within(g: LabeledGameGraph, arena, allowed: set[int]) -> set[int] | None:
+    """The maximal end component through the initial vertex inside
+    `allowed`, or None. Alternates the trap with the initial vertex's
+    strongly connected component in it until the trap is strongly
+    connected (a trap is its own trap). Every end component through the
+    initial vertex survives each round, and each further round removes
+    a vertex."""
+    v0, vs = g.initial, allowed
+    while v0 in (trap := _trap(g, arena, vs)):
+        inside = _inside(g.succ, trap)
+        vs = _reachable(inside, v0) & _reachable(_predecessors(inside), v0)
+        if vs == trap:
+            return vs
+    return None
+
+
+def _prop_sets(g: LabeledGameGraph, within: set[int]):
+    """For each proposition set P containing L(v_in), by increasing size
+    and generated lazily, the vertices labeled within P. Only labels of
+    `within`, which holds every answer, are added: others change nothing."""
+    base = g.labels[g.initial]
+    used = cover_of(g, within) & ~base
+    rest = [1 << i for i in range(len(g.ap)) if used >> i & 1]
+    for size in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, size):
+            props = base | sum(extra)
+            yield {v for v, b in enumerate(g.labels) if b & ~props == 0}
+
+
 def _is_end_component(g: LabeledGameGraph, vs: set[int]) -> bool:
     """Strongly connected (an inside move everywhere, so singletons need
     a self-loop) and closed under every player-1 edge."""
-    inside_succ: list = [()] * g.n
+    inside = _inside(g.succ, vs)
     for v in vs:
-        inside = [u for u in g.succ[v] if u in vs]
-        if not inside:
+        if not inside[v] or (g.owner[v] == PLAYER1 and len(inside[v]) != len(g.succ[v])):
             return False
-        if g.owner[v] == PLAYER1 and len(inside) != len(g.succ[v]):
-            return False
-        inside_succ[v] = inside
     pivot = min(vs)
-    return (
-        _reachable(inside_succ, pivot) == vs
-        and _reachable(_predecessors(inside_succ), pivot) == vs
-    )
+    return _reachable(inside, pivot) == vs == _reachable(_predecessors(inside), pivot)
 
 
 def verify_end_component_witness(
@@ -464,96 +505,50 @@ def verify_end_component_witness(
     vertex whose label union stays below m. Polynomial time."""
     require_valid(g)
     vs = set(vertices)
-    if not vs or not all(isinstance(v, int) and 0 <= v < g.n for v in vs):
+    if not all(isinstance(v, int) and 0 <= v < g.n for v in vs) or g.initial not in vs:
         return False
-    if g.initial not in vs:
-        return False
-    if not _is_end_component(g, vs):
-        return False
-    return cover_of(g, vs).bit_count() < m
-
-
-def _subset_masks(g: LabeledGameGraph, subset_budget: int):
-    others = [v for v in range(g.n) if v != g.initial]
-    if 1 << len(others) > subset_budget:
-        raise BudgetExceededError(
-            f"subset search over {g.n} vertices exceeds the budget"
-        )
-    for bits in range(1 << len(others)):
-        vs = {g.initial}
-        rest = bits
-        idx = 0
-        while rest:
-            if rest & 1:
-                vs.add(others[idx])
-            rest >>= 1
-            idx += 1
-        yield vs
+    return _is_end_component(g, vs) and cover_of(g, vs).bit_count() < m
 
 
 def min_cover_end_component(
-    g: LabeledGameGraph, *, subset_budget: int = 1 << 22
+    g: LabeledGameGraph, *, ap_cap: int = DEFAULT_AP_CAP
 ) -> tuple[EndComponent, int]:
     """End component through the initial vertex with the fewest distinct
-    propositions, by exhaustive subset search (the underlying problem is
-    coNP-hard; this is for desk-scale instances).
-
-    On controllably recurrent games the returned count equals the
-    coverage value. When no end component contains the initial vertex
-    the game cannot be controllably recurrent (nothing confines the play
-    through it), so this raises NotRecurrentError.
-    """
-    require_valid(g)
-    best: set[int] | None = None
-    best_mask = 0
-    best_count = len(g.ap) + 1
-    for vs in _subset_masks(g, subset_budget):
-        mask = 0
-        for v in vs:
-            mask |= g.labels[v]
-        count = mask.bit_count()
-        if best is not None and count >= best_count:
-            continue
-        if not _is_end_component(g, vs):
-            continue
-        best, best_mask, best_count = vs, mask, count
-    if best is None:
+    propositions: the maximal one among the vertices labeled within P,
+    for the first proposition set P by increasing size that has one (its
+    label union is then P itself). P draws only on the labels of the
+    maximal end component through the initial vertex in the whole game,
+    which holds every other. Without one the game cannot be controllably
+    recurrent (nothing confines the play), so this raises
+    NotRecurrentError at once. On controllably recurrent games the count
+    equals the coverage value."""
+    _check_game(g, ap_cap)
+    arena = _arena(g)
+    top = _end_component_within(g, arena, set(range(g.n)))
+    if top is None:
         raise NotRecurrentError("no end component contains the initial vertex")
-    return EndComponent(tuple(sorted(best)), best_mask), best_count
+    for allowed in _prop_sets(g, top):
+        ec = _end_component_within(g, arena, allowed)
+        if ec is not None:
+            break  # at the latest once all of `top` is allowed
+    mask = cover_of(g, ec)
+    return EndComponent(tuple(sorted(ec)), mask), mask.bit_count()
 
 
 def min_safety_value(
-    g: LabeledGameGraph, *, subset_budget: int = 1 << 22
+    g: LabeledGameGraph, *, ap_cap: int = DEFAULT_AP_CAP
 ) -> tuple[int, tuple[int, ...]]:
-    """Fewest distinct propositions the system can confine the play to.
-
-    Searches vertex sets through the initial vertex that player 1 cannot
-    leave and from which player 2 always has an inside move; the play
-    then never exits, whatever the tester does. On controllably
-    recurrent games this equals the minimal end-component cover. Returns
-    the count and the first confining set attaining it.
-    """
-    require_valid(g)
-    best: set[int] | None = None
-    best_count = len(g.ap) + 1
-    for vs in _subset_masks(g, subset_budget):
-        mask = 0
-        for v in vs:
-            mask |= g.labels[v]
-        count = mask.bit_count()
-        if best is not None and count >= best_count:
-            continue
-        ok = True
-        for v in vs:
-            inside = [u for u in g.succ[v] if u in vs]
-            if g.owner[v] == PLAYER1:
-                if len(inside) != len(g.succ[v]):
-                    ok = False
-                    break
-            elif not inside:
-                ok = False
-                break
-        if ok:
-            best, best_count = vs, count
-    assert best is not None  # the full vertex set always confines
-    return best_count, tuple(sorted(best))
+    """Fewest distinct propositions the system can confine the play to,
+    and a confining set: the first proposition set P, by increasing
+    size, whose trap among the vertices labeled within P holds the
+    initial vertex, and the part of that trap reachable from it. On
+    controllably recurrent games this equals the minimal end-component
+    cover."""
+    _check_game(g, ap_cap)
+    arena = _arena(g)
+    for allowed in _prop_sets(g, _reachable(g.succ, g.initial)):
+        trap = _trap(g, arena, allowed)
+        if g.initial in trap:
+            break  # at the latest once every reachable vertex is allowed
+    confined = _reachable(_inside(g.succ, trap), g.initial)
+    return cover_of(g, confined).bit_count(), tuple(sorted(confined))

@@ -3,7 +3,8 @@
 
 Nothing here shares code with the solver modules: graphs are answered by
 explicit path enumeration, games by plain minimax over the bounded
-exploration tree (no label-repeat cutoff, no memoization), and the
+exploration tree (no label-repeat cutoff, no memoization), end
+components and confining sets by trying every vertex set, and the
 reductions' source problems by exhaustive enumeration. Budgets abort
 with BudgetExceededError; an oracle is never silently approximate.
 """
@@ -71,21 +72,27 @@ def brute_force_graph(
     return extend(g.initial, b0, depth)
 
 
+def _reach(rows, start: int) -> set[int]:
+    """Vertices reachable from `start` along `rows`, by depth-first search."""
+    seen, stack = {start}, [start]
+    while stack:
+        for u in rows[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
+def _union(g: LabeledGraph, vs) -> int:
+    mask = 0
+    for v in vs:
+        mask |= g.labels[v]
+    return mask
+
+
 def _props_reachable(g: LabeledGraph) -> list[int]:
     """Per-vertex union of all labels graph-reachable from it."""
-    out = []
-    for v0 in range(g.n):
-        seen = {v0}
-        queue = [v0]
-        mask = 0
-        for v in queue:
-            mask |= g.labels[v]
-            for u in g.succ[v]:
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        out.append(mask)
-    return out
+    return [_union(g, _reach(g.succ, v)) for v in range(g.n)]
 
 
 def brute_force_game(
@@ -129,6 +136,44 @@ def brute_force_game(
         return all(wins(u, b | labels[u], left - 1) for u in stingy[v])
 
     return wins(g.initial, labels[g.initial], depth)
+
+
+def _confining_covers(g: LabeledGameGraph, budget: int, connected: bool):
+    """Label-union sizes of the vertex sets through the initial vertex
+    that player 1 cannot leave, in which player 2 always has a move and,
+    if `connected`, every vertex reaches every other along inside edges.
+    Tries every vertex set, one budget unit each."""
+    require_valid(g)
+    bud = _Budget(budget)
+    others = [v for v in range(g.n) if v != g.initial]
+    for size in range(len(others) + 1):
+        for combo in itertools.combinations(others, size):
+            bud.spend()
+            vs = {g.initial, *combo}
+            inside = {v: [u for u in g.succ[v] if u in vs] for v in vs}
+            if not all(
+                row and (g.owner[v] != PLAYER1 or len(row) == len(g.succ[v]))
+                for v, row in inside.items()
+            ):
+                continue
+            if not connected or all(_reach(inside, v) == vs for v in vs):
+                yield _union(g, vs).bit_count()
+
+
+def min_cover_end_component_brute(
+    g: LabeledGameGraph, budget: int = DEFAULT_BUDGET
+) -> int | None:
+    """Fewest distinct propositions on an end component (a strongly
+    connected confining set) through the initial vertex, by trying every
+    vertex set; None when no end component contains it."""
+    return min(_confining_covers(g, budget, True), default=None)
+
+
+def min_safety_brute(g: LabeledGameGraph, budget: int = DEFAULT_BUDGET) -> int:
+    """Fewest distinct propositions on a vertex set through the initial
+    vertex that the system can confine the play to, by trying every
+    vertex set (the whole vertex set always confines)."""
+    return min(_confining_covers(g, budget, False))
 
 
 # ---------------------------------------------------------------------------

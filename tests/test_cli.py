@@ -2,13 +2,20 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from covgame import LabeledGameGraph, LabeledGraph, SystemAutomaton, formats
+from covgame import (
+    LabeledGameGraph,
+    LabeledGraph,
+    SystemAutomaton,
+    formats,
+    is_controllably_recurrent_game,
+)
 from covgame.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -240,6 +247,34 @@ class TestCertify:
         # the same component does not certify a smaller target
         assert main(["certify", path, "--witness", witness, "--m", "3"]) == 1
 
+    def test_end_component_certificate_on_large_game(self, capsys, tmp_path):
+        # controllably recurrent by construction: every tester vertex can
+        # go home, and the system only moves to tester vertices or home
+        rng = random.Random(2008)
+        n = 240
+        names = [f"v{i}" for i in range(n)]
+        ap = ["p", "q", "r", "s", "zz"]
+        vertices = [("v0", [], 1)] + [
+            (names[i], rng.sample(ap[:4], rng.randint(0, 1)), 2 - i % 2)
+            for i in range(1, n)
+        ]
+        edges = [("v0", names[i]) for i in range(1, n, 2)]
+        for i in range(1, n):
+            targets = rng.sample(range(1, n, 2), 3)
+            if i % 2 == 1:
+                targets.append(0)
+            edges += [(names[i], names[j]) for j in sorted(set(targets))]
+        g = LabeledGameGraph.make_game(ap, vertices, edges, "v0")
+        assert is_controllably_recurrent_game(g)[0]
+        path = write_model(tmp_path, g)
+        _, out = run_cli(capsys, "solve", path, "--value", "--json")
+        m = json.loads(out)["value"] + 1
+        code, out = run_cli(capsys, "solve", path, "--m", str(m), "--json")
+        assert code == 1
+        assert json.loads(out)["certificate"]["kind"] == "end-component"
+        witness = write(tmp_path, out, "cert.json")
+        assert main(["certify", path, "--witness", witness]) == 0
+
 
 STRATEGY_GAME = {
     "ap": ["p"],
@@ -327,6 +362,18 @@ class TestMalformedInputs:
     def test_unhashable_model_component(self, capsys, tmp_path, model):
         path = write(tmp_path, json.dumps(model), "model.cov")
         self.assert_usage_error(capsys, ["solve", path, "--m", "0"])
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"vertices": 5, "initial": "a"},
+            {"states": ["q"], "alphabet": ["x"], "initial": "q", "transitions": 5},
+        ],
+        ids=["vertices-not-a-list", "transitions-not-a-list"],
+    )
+    def test_model_field_not_a_list(self, capsys, tmp_path, model):
+        path = write(tmp_path, json.dumps(model), "model.cov")
+        self.assert_usage_error(capsys, ["solve", path, "--m", "1"])
 
     def test_bool_owner(self, capsys, tmp_path):
         obj = json.loads(json.dumps(STRATEGY_GAME))

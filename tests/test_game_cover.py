@@ -22,6 +22,7 @@ from covgame import (
     strategy_covers,
     verify_end_component_witness,
 )
+from covgame import game_cover
 from covgame.game_cover import _Product
 from genmodels import random_game, random_recurrent_game
 
@@ -299,6 +300,28 @@ class TestEndComponents:
     def test_min_cover_refuses_unconfinable(self, adversarial_game):
         with pytest.raises(NotRecurrentError):
             min_cover_end_component(adversarial_game)
+
+    def test_refusal_takes_one_pass(self, monkeypatch):
+        # a path through 20 labels into an unlabeled sink: no end component
+        # contains the initial vertex, which one pass over the whole game
+        # shows; 2^20 proposition sets need not be tried
+        passes = []
+        search = game_cover._end_component_within
+        monkeypatch.setattr(
+            game_cover, "_end_component_within", lambda *a: passes.append(a) or search(*a)
+        )
+        k = 20
+        chain = [f"a{i}" for i in range(k)] + ["sink"]
+        g = LabeledGameGraph.make_game(
+            [f"p{i}" for i in range(k)],
+            [("v0", [], 1)] + [(a, [f"p{i}"], 1) for i, a in enumerate(chain[:k])]
+            + [("sink", [], 1)],
+            list(zip(["v0"] + chain, chain + ["sink"])),
+            "v0",
+        )
+        with pytest.raises(NotRecurrentError):
+            min_cover_end_component(g)
+        assert len(passes) == 1
 
     def test_certificates_verify(self):
         rng = random.Random(97)

@@ -69,3 +69,17 @@ class TestSourceProblems:
         assert oracle.hampath_brute(line, "a")
         assert not oracle.hampath_brute(line, "b")
         assert oracle.hampath_brute(Digraph(("a",), ()), "a")
+
+
+class TestEndComponentOracles:
+    def test_examples(self, triangle_game, adversarial_game):
+        assert oracle.min_cover_end_component_brute(triangle_game) == 3
+        assert oracle.min_cover_end_component_brute(adversarial_game) is None
+        assert oracle.min_safety_brute(triangle_game) == 3
+        assert oracle.min_safety_brute(adversarial_game) == 1
+
+    def test_budget_aborts(self, triangle_game):
+        with pytest.raises(BudgetExceededError):
+            oracle.min_cover_end_component_brute(triangle_game, budget=1)
+        with pytest.raises(BudgetExceededError):
+            oracle.min_safety_brute(triangle_game, budget=1)
