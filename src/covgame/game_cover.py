@@ -11,16 +11,16 @@ covering >= m are goal leaves, seeded into the attractor and never
 expanded. The value query builds the whole reachable product.
 
 Bounded coverage is a depth-capped minimax over the same state space.
-End components and minimal safety need no product: for each
-proposition set P, by increasing size, the game is restricted to the
-vertices labeled within P and searched for a maximal end component (or
-a trap) through the initial vertex, at most 2^|AP| passes of linear
-attractor and reachability sweeps.
+End components and minimal safety need no product. Restricted to the
+vertices labeled within a proposition set P, one linear pass of
+attractor and reachability sweeps finds the maximal end component (or
+trap) through the initial vertex; `_cheapest` searches P from both
+ends, in at most 2^(min(k, |AP|)+1) passes for k distinct label sets.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -474,17 +474,68 @@ def _end_component_within(g: LabeledGameGraph, arena, allowed: set[int]) -> set[
     return None
 
 
-def _prop_sets(g: LabeledGameGraph, within: set[int]):
-    """For each proposition set P containing L(v_in), by increasing size
-    and generated lazily, the vertices labeled within P. Only labels of
-    `within`, which holds every answer, are added: others change nothing."""
-    base = g.labels[g.initial]
-    used = cover_of(g, within) & ~base
-    rest = [1 << i for i in range(len(g.ap)) if used >> i & 1]
-    for size in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, size):
-            props = base | sum(extra)
-            yield {v for v, b in enumerate(g.labels) if b & ~props == 0}
+def _cheapest(g: LabeledGameGraph, test, ap_cap: int):
+    """The hit of `test` with the fewest propositions (ties to the smaller
+    mask), or None. `test(P)` is the answer among the vertices labeled
+    within P, or None; a hit at P stays one at every superset of P.
+
+    Two walks take one pass each in turn, and the first to finish
+    decides. Upward: the unions of L(v_in) with the label sets of the
+    hit at P = AP (which holds every other hit), by size; its first hit
+    is the cheapest. Downward: drop one proposition at a time from the
+    union of a hit; a chain of such drops reaches every cheapest hit.
+    With k distinct label sets over j further propositions the upward
+    walk ends within 2^min(k, j) passes, the pair within twice that, and
+    ap_cap caps that exponent."""
+    tried: dict[int, set[int] | None] = {}
+
+    def run(props):
+        if props not in tried:
+            tried[props] = test(props)
+        return tried[props]
+
+    best = run((1 << len(g.ap)) - 1)
+    if best is None:
+        return None
+    base, top = g.labels[g.initial], cover_of(g, best)
+    atoms = {g.labels[v] & ~base for v in best} - {0}
+    if min(len(atoms), j := (top & ~base).bit_count()) > ap_cap:
+        raise ApCapExceededError(
+            f"{len(atoms)} distinct label sets and {j} propositions exceed the cap of {ap_cap}"
+        )
+    key, up, queued = _size_first(top), [_size_first(base)], {base}
+    down = [top & ~bit for bit in _bits(top & ~base)]
+    while True:
+        props = heapq.heappop(up)[1]
+        if _size_first(props) >= key:
+            return best  # every cheaper set has failed
+        if (hit := run(props)) is not None:
+            return hit
+        for atom in atoms:
+            if (wider := props | atom) not in queued:
+                queued.add(wider)
+                heapq.heappush(up, _size_first(wider))
+        while down and down[-1] in tried:
+            down.pop()
+        if not down:
+            return best
+        if (hit := run(down.pop())) is not None:
+            mask = cover_of(g, hit)
+            down += [mask & ~bit for bit in _bits(mask & ~base)]
+            if _size_first(mask) < key:
+                best, key = hit, _size_first(mask)
+
+
+def _size_first(mask: int) -> tuple[int, int]:
+    return mask.bit_count(), mask
+
+
+def _bits(mask: int) -> list[int]:
+    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _labeled_within(g: LabeledGameGraph, props: int) -> set[int]:
+    return {v for v, b in enumerate(g.labels) if b & ~props == 0}
 
 
 def _is_end_component(g: LabeledGameGraph, vs: set[int]) -> bool:
@@ -514,23 +565,18 @@ def min_cover_end_component(
     g: LabeledGameGraph, *, ap_cap: int = DEFAULT_AP_CAP
 ) -> tuple[EndComponent, int]:
     """End component through the initial vertex with the fewest distinct
-    propositions: the maximal one among the vertices labeled within P,
-    for the first proposition set P by increasing size that has one (its
-    label union is then P itself). P draws only on the labels of the
-    maximal end component through the initial vertex in the whole game,
-    which holds every other. Without one the game cannot be controllably
-    recurrent (nothing confines the play), so this raises
-    NotRecurrentError at once. On controllably recurrent games the count
-    equals the coverage value."""
-    _check_game(g, ap_cap)
+    propositions: the maximal one among the vertices labeled within the
+    cheapest proposition set that has one. Without any the game cannot
+    be controllably recurrent (nothing confines the play), so this
+    raises NotRecurrentError after one pass. On controllably recurrent
+    games the count equals the coverage value."""
+    require_valid(g)
     arena = _arena(g)
-    top = _end_component_within(g, arena, set(range(g.n)))
-    if top is None:
+    ec = _cheapest(
+        g, lambda props: _end_component_within(g, arena, _labeled_within(g, props)), ap_cap
+    )
+    if ec is None:
         raise NotRecurrentError("no end component contains the initial vertex")
-    for allowed in _prop_sets(g, top):
-        ec = _end_component_within(g, arena, allowed)
-        if ec is not None:
-            break  # at the latest once all of `top` is allowed
     mask = cover_of(g, ec)
     return EndComponent(tuple(sorted(ec)), mask), mask.bit_count()
 
@@ -539,16 +585,16 @@ def min_safety_value(
     g: LabeledGameGraph, *, ap_cap: int = DEFAULT_AP_CAP
 ) -> tuple[int, tuple[int, ...]]:
     """Fewest distinct propositions the system can confine the play to,
-    and a confining set: the first proposition set P, by increasing
-    size, whose trap among the vertices labeled within P holds the
-    initial vertex, and the part of that trap reachable from it. On
-    controllably recurrent games this equals the minimal end-component
-    cover."""
-    _check_game(g, ap_cap)
+    and a confining set: the part reachable from the initial vertex of
+    the trap among the vertices labeled within the cheapest proposition
+    set whose trap holds it. On controllably recurrent games this equals
+    the minimal end-component cover."""
+    require_valid(g)
     arena = _arena(g)
-    for allowed in _prop_sets(g, _reachable(g.succ, g.initial)):
-        trap = _trap(g, arena, allowed)
-        if g.initial in trap:
-            break  # at the latest once every reachable vertex is allowed
-    confined = _reachable(_inside(g.succ, trap), g.initial)
-    return cover_of(g, confined).bit_count(), tuple(sorted(confined))
+
+    def confined(props):
+        trap = _trap(g, arena, _labeled_within(g, props))
+        return _reachable(_inside(g.succ, trap), g.initial) if g.initial in trap else None
+
+    vs = _cheapest(g, confined, ap_cap)
+    return cover_of(g, vs).bit_count(), tuple(sorted(vs))

@@ -153,3 +153,33 @@ def random_digraph(rng: random.Random, max_v: int = 7) -> Digraph:
         if i != j and rng.random() < 0.3
     ]
     return Digraph(vertices, tuple(edges))
+
+
+def wide_games(k: int = 30, used: int = 30) -> dict[str, LabeledGameGraph]:
+    """Tester-owned games over k propositions whose end components carry
+    many of them; `used` <= k of them appear on any vertex.
+
+    - two: v0 <-> v1, and v1 carries every used proposition;
+    - cycle: v0 -> c1 -> ... -> c_used -> v0, one proposition per c_i;
+    - star: the system leaves its unlabeled hub into one of `used`
+      labeled loops, so its cheapest end component carries one.
+    """
+    ap = [f"p{i}" for i in range(k)]
+    cs = [f"c{i}" for i in range(1, used + 1)]
+    return {
+        "two": LabeledGameGraph.make_game(
+            ap, [("v0", [], 1), ("v1", ap[:used], 1)], [("v0", "v1"), ("v1", "v0")], "v0"
+        ),
+        "cycle": LabeledGameGraph.make_game(
+            ap,
+            [("v0", [], 1)] + [(c, [p], 1) for c, p in zip(cs, ap)],
+            list(zip(["v0"] + cs, cs + ["v0"])),
+            "v0",
+        ),
+        "star": LabeledGameGraph.make_game(
+            ap,
+            [("v0", [], 2)] + [(c, [p], 1) for c, p in zip(cs, ap)],
+            [("v0", c) for c in cs] + [(c, "v0") for c in cs],
+            "v0",
+        ),
+    }

@@ -17,6 +17,7 @@ from covgame import (
     is_controllably_recurrent_game,
 )
 from covgame.cli import main
+from genmodels import wide_games
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -270,6 +271,17 @@ class TestCertify:
         _, out = run_cli(capsys, "solve", path, "--value", "--json")
         m = json.loads(out)["value"] + 1
         code, out = run_cli(capsys, "solve", path, "--m", str(m), "--json")
+        assert code == 1
+        assert json.loads(out)["certificate"]["kind"] == "end-component"
+        witness = write(tmp_path, out, "cert.json")
+        assert main(["certify", path, "--witness", witness]) == 0
+
+    @pytest.mark.parametrize("name", ["two", "cycle"])
+    def test_end_component_certificate_on_wide_game(self, capsys, tmp_path, name):
+        # 29 of 30 propositions on one end component: NO at m = 30, with a
+        # certificate found in a few dozen passes, not 2^29
+        path = write_model(tmp_path, wide_games(30, 29)[name])
+        code, out = run_cli(capsys, "solve", path, "--m", "30", "--json")
         assert code == 1
         assert json.loads(out)["certificate"]["kind"] == "end-component"
         witness = write(tmp_path, out, "cert.json")

@@ -3,6 +3,7 @@ end components, and minimal safety."""
 
 import random
 import sys
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from covgame import (
     bounded_coverage_game,
     coverage_value_game,
     coverage_value_graph,
+    cover_of,
     game_to_graph,
     is_controllably_recurrent_game,
     max_coverage_game,
@@ -24,7 +26,7 @@ from covgame import (
 )
 from covgame import game_cover
 from covgame.game_cover import _Product
-from genmodels import random_game, random_recurrent_game
+from genmodels import random_game, random_recurrent_game, wide_games
 
 
 def erase_owners_to_graph(g):
@@ -322,6 +324,36 @@ class TestEndComponents:
         with pytest.raises(NotRecurrentError):
             min_cover_end_component(g)
         assert len(passes) == 1
+
+    @pytest.mark.parametrize("name, want", [("two", 30), ("cycle", 30), ("star", 1)])
+    def test_wide_games_take_few_passes(self, monkeypatch, name, want):
+        # 30 propositions: walking every proposition set would take 2^30
+        # passes; the two walks need about two per proposition
+        tried = []
+        within = game_cover._labeled_within
+        monkeypatch.setattr(
+            game_cover, "_labeled_within", lambda g, props: tried.append(props) or within(g, props)
+        )
+        g = wide_games()[name]
+        start = time.perf_counter()
+        ec, count = min_cover_end_component(g)
+        value, confined = min_safety_value(g)
+        assert time.perf_counter() - start < 1.0
+        assert len(tried) <= 2 * 2 * 31
+        assert count == value == want
+        assert verify_end_component_witness(g, ec.vertices, count + 1)
+        assert cover_of(g, confined).bit_count() == want
+
+    def test_ap_cap_bounds_the_walk(self):
+        # the cap applies to the smaller of the distinct label sets and the
+        # propositions the walk ranges over, not to |AP|
+        wide = wide_games(40, 40)
+        assert min_cover_end_component(wide["two"])[1] == 40
+        assert min_safety_value(wide["two"])[0] == 40
+        for solve in (min_cover_end_component, min_safety_value):
+            with pytest.raises(ApCapExceededError):
+                solve(wide["cycle"])
+        assert min_cover_end_component(wide["cycle"], ap_cap=40)[1] == 40
 
     def test_certificates_verify(self):
         rng = random.Random(97)
