@@ -44,8 +44,9 @@ for entry in entries:
     print("  at", entry["vertex"], "with", entry["covered"], "->", entry["choose"])
 print("strategy survives all playouts:", strategy_covers(loop, ans.strategy, 3))
 
-# Bounded coverage runs a depth-capped minimax over the same product;
-# the answer also reports the exact root value for the budget.
+# Bounded coverage runs the same attractor on the product layered by
+# depth up to the budget; the level at which the initial state enters
+# is the exact value the tester can guarantee within the budget.
 mixed = LabeledGameGraph.make_game(
     ap=["p", "q", "r"],
     vertices=[

@@ -70,11 +70,18 @@ def _load_model(args):
     return model, patched
 
 
-def _as_playable(model):
-    """solve/bounded/recurrent/verify accept systems and compile them."""
+def _load_playable(args):
+    """The model of solve/bounded/recurrent/certify/verify, with a system
+    compiled to its game, and the output header recording what was done."""
+    model, patched = _load_model(args)
+    out: dict = {"command": args.subcommand}
     if isinstance(model, SystemAutomaton):
-        return compile_system(model), True
-    return model, False
+        model = compile_system(model)
+        out["compiled"] = True
+    if patched:
+        out["patched"] = list(patched)
+    out["kind"] = "game" if isinstance(model, LabeledGameGraph) else "graph"
+    return model, out
 
 
 def _emit(args, obj: dict, lines: list[str]) -> None:
@@ -152,14 +159,8 @@ def _require_m(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    model, patched = _load_model(args)
-    model, compiled = _as_playable(model)
+    model, out = _load_playable(args)
     is_game = isinstance(model, LabeledGameGraph)
-    out: dict = {"command": "solve", "kind": "game" if is_game else "graph"}
-    if compiled:
-        out["compiled"] = True
-    if patched:
-        out["patched"] = list(patched)
     lines: list[str] = []
     keep = not args.low_memory
     if args.value:
@@ -200,20 +201,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bounded(args) -> int:
-    model, patched = _load_model(args)
-    model, compiled = _as_playable(model)
+    model, out = _load_playable(args)
     is_game = isinstance(model, LabeledGameGraph)
     m = _require_m(args)
-    out: dict = {
-        "command": "bounded",
-        "kind": "game" if is_game else "graph",
-        "m": m,
-        "k": args.k,
-    }
-    if compiled:
-        out["compiled"] = True
-    if patched:
-        out["patched"] = list(patched)
+    out.update(m=m, k=args.k)
     keep = not args.low_memory
     if is_game:
         ans = bounded_coverage_game(model, m, args.k, want_strategy=keep)
@@ -235,23 +226,14 @@ def _cmd_bounded(args) -> int:
 
 
 def _cmd_recurrent(args) -> int:
-    model, patched = _load_model(args)
-    model, compiled = _as_playable(model)
+    model, out = _load_playable(args)
     is_game = isinstance(model, LabeledGameGraph)
     if is_game:
         recurrent, stray = is_controllably_recurrent_game(model)
     else:
         recurrent, stray = is_controllably_recurrent_graph(model)
-    out: dict = {
-        "command": "recurrent",
-        "kind": "game" if is_game else "graph",
-        "recurrent": recurrent,
-        "counterexample": None if stray is None else model.names[stray],
-    }
-    if compiled:
-        out["compiled"] = True
-    if patched:
-        out["patched"] = list(patched)
+    out["recurrent"] = recurrent
+    out["counterexample"] = None if stray is None else model.names[stray]
     lines = [f"controllably recurrent: {'yes' if recurrent else 'no'}"]
     if stray is not None:
         lines.append(f"counterexample: {model.names[stray]} cannot be forced back")
@@ -287,9 +269,8 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    model, _ = _load_model(args)
-    model, _ = _as_playable(model)
-    obj = json.loads(_read_text(args.witness))
+    model, out = _load_playable(args)
+    obj = formats.decode(_read_text(args.witness))
     if isinstance(obj, dict) and "witness" in obj and isinstance(obj["witness"], dict):
         inner = obj["witness"]
     elif isinstance(obj, dict) and "certificate" in obj and isinstance(obj["certificate"], dict):
@@ -323,7 +304,7 @@ def _cmd_certify(args) -> int:
         valid = verify_end_component_witness(model, vertices, m)
     else:
         raise FormatError(f"unknown witness kind {kind!r}")
-    out = {"command": "certify", "witness_kind": kind, "m": m, "valid": valid}
+    out.update(witness_kind=kind, m=m, valid=valid)
     _emit(args, out, [f"witness {'valid' if valid else 'INVALID'}"])
     return 0 if valid else 1
 
@@ -343,24 +324,13 @@ def _cmd_export_dot(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    model, _ = _load_model(args)
-    model, compiled = _as_playable(model)
+    model, out = _load_playable(args)
     m = _require_m(args)
     if isinstance(model, LabeledGameGraph):
         decision = oracle.brute_force_game(model, m, args.k)
-        kind = "game"
     else:
         decision = oracle.brute_force_graph(model, m, args.k)
-        kind = "graph"
-    out = {
-        "command": "verify",
-        "kind": kind,
-        "m": m,
-        "k": args.k,
-        "decision": decision,
-    }
-    if compiled:
-        out["compiled"] = True
+    out.update(m=m, k=args.k, decision=decision)
     _emit(args, out, [f"oracle decision: {'yes' if decision else 'no'}"])
     return 0 if decision else 1
 
@@ -445,9 +415,6 @@ def main(argv=None) -> int:
         return 3
     except CoverageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: not valid JSON: {exc}", file=sys.stderr)
         return 2
 
 

@@ -168,12 +168,16 @@ def render_obj(model) -> dict:
     }
 
 
-def loads(text: str, kind: str = "auto"):
+def decode(text: str) -> Any:
+    """Decoded JSON; malformed text raises FormatError."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from None
-    return parse_obj(obj, kind)
+
+
+def loads(text: str, kind: str = "auto"):
+    return parse_obj(decode(text), kind)
 
 
 def dumps(model) -> str:

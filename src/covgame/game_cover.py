@@ -10,7 +10,10 @@ A decision query at m builds only the states it depends on: states
 covering >= m are goal leaves, seeded into the attractor and never
 expanded. The value query builds the whole reachable product.
 
-Bounded coverage is a depth-capped minimax over the same state space.
+Bounded coverage runs the same attractor on the product layered by
+depth up to the step budget; on that acyclic game the entry level of
+the initial state is the minimax value of the budgeted play.
+
 End components and minimal safety need no product. Restricted to the
 vertices labeled within a proposition set P, one linear pass of
 attractor and reachability sweeps finds the maximal end component (or
@@ -152,31 +155,41 @@ class _Product:
     The lookup key of a state is the integer cov * n + v, so no tuple is
     made per state. Predecessor rows are filled during the build, in
     ascending source order, and `pending` holds each state's out-degree.
+    The states of BFS depth d are layers[d] .. layers[d + 1] - 1.
+
+    With a depth `cap` the product is layered: each depth has its own
+    key index, so a pair reached at two depths is two states, every edge
+    joins depth d to d + 1, and the states at depth `cap` are leaves.
     """
 
-    __slots__ = ("vert", "cov", "pred", "pending", "player1")
+    __slots__ = ("vert", "cov", "pred", "pending", "player1", "layers", "cap")
 
-    def __init__(self, g: LabeledGameGraph, goal: int):
+    def __init__(self, g: LabeledGameGraph, goal: int, cap: int | None = None):
         n, labels, succ = g.n, g.labels, g.succ
         v0 = g.initial
         vert, cov = [v0], [labels[v0]]
         index = {labels[v0] * n + v0: 0}
         pred: list[list[int]] = [[]]
-        for i, v in enumerate(vert):
-            b = cov[i]
-            if b.bit_count() >= goal:
-                continue
-            for u in succ[v]:
-                c = b | labels[u]
-                key = c * n + u
-                j = index.get(key)
-                if j is None:
-                    index[key] = len(vert)
-                    vert.append(u)
-                    cov.append(c)
-                    pred.append([i])
-                else:
-                    pred[j].append(i)
+        layers = [0, 1]
+        while layers[-2] < layers[-1] and len(layers) - 2 != cap:
+            if cap is not None:
+                index = {}  # layered: the next depth's states are all new
+            for i, v in enumerate(vert[layers[-2]:], layers[-2]):
+                b = cov[i]
+                if b.bit_count() >= goal:
+                    continue
+                for u in succ[v]:
+                    c = b | labels[u]
+                    key = c * n + u
+                    j = index.get(key)
+                    if j is None:
+                        index[key] = len(vert)
+                        vert.append(u)
+                        cov.append(c)
+                        pred.append([i])
+                    else:
+                        pred[j].append(i)
+            layers.append(len(vert))
         degree = [len(row) for row in succ]
         player1 = [who == PLAYER1 for who in g.owner]
         self.vert = vert
@@ -184,6 +197,8 @@ class _Product:
         self.pred = pred
         self.pending = [degree[v] for v in vert]
         self.player1 = [player1[v] for v in vert]
+        self.layers = layers
+        self.cap = cap
 
     def __len__(self) -> int:
         return len(self.vert)
@@ -225,12 +240,14 @@ def _attractor(pending, pred, player1, levels, stop):
     return entered, cause
 
 
-def _solve_product(g: LabeledGameGraph, floor: int, goal: int):
+def _solve_product(g: LabeledGameGraph, floor: int, goal: int, cap: int | None = None):
     """Nested attractor of the goals {covered >= t}, t = |AP| down to
-    `floor`, over the product whose states covering >= `goal` are
-    leaves. The initial state's entry level is the coverage value, or
-    None when the value is below `floor`."""
-    prod = _Product(g, goal)
+    `floor`, over the product whose states covering >= `goal` (or, with
+    a depth cap, at depth `cap`) are leaves. The initial state's entry
+    level is the coverage value, or None when the value is below
+    `floor`; on a layered product it is the minimax value of the
+    exploration tree cut at depth `cap`."""
+    prod = _Product(g, goal, cap)
     by_count: list[list[int]] = [[] for _ in range(len(g.ap) + 1)]
     for i, b in enumerate(prod.cov):
         by_count[b.bit_count()].append(i)
@@ -240,13 +257,16 @@ def _solve_product(g: LabeledGameGraph, floor: int, goal: int):
 
 
 def _cause_strategy(prod: _Product, entered, cause, m: int) -> TesterStrategy:
-    """The cause move of every attracted player-1 state covering < m."""
-    vert, cov, player1 = prod.vert, prod.cov, prod.player1
-    return TesterStrategy({
-        (vert[i], b): vert[cause[i]]
-        for i, b in enumerate(cov)
-        if entered[i] is not None and player1[i] and b.bit_count() < m
-    })
+    """The cause move of every attracted player-1 state covering < m,
+    keyed (v, b) or, on a layered product, (v, b, steps left)."""
+    vert, cov, player1, layers, cap = prod.vert, prod.cov, prod.player1, prod.layers, prod.cap
+    moves = {}
+    for d in range(len(layers) - 1):
+        left = () if cap is None else (cap - d,)
+        for i in range(layers[d], layers[d + 1]):
+            if entered[i] is not None and player1[i] and cov[i].bit_count() < m:
+                moves[(vert[i], cov[i]) + left] = vert[cause[i]]
+    return TesterStrategy(moves, cap)
 
 
 def max_coverage_game(
@@ -286,54 +306,6 @@ def coverage_value_game(
 # bounded coverage
 
 
-def _bounded_values(g: LabeledGameGraph, cap: int) -> list[dict]:
-    """values[d] maps each (vertex, covered) state reachable in exactly d
-    steps to its minimax coverage with cap - d steps left: the layers
-    are built forward, then valued by backward induction."""
-    succ, labels, owner = g.succ, g.labels, g.owner
-    values = [{(g.initial, labels[g.initial]): 0}]
-    for _ in range(cap):
-        values.append({(u, b | labels[u]): 0 for v, b in values[-1] for u in succ[v]})
-    last = values[cap]
-    for s in last:
-        last[s] = s[1].bit_count()
-    for d in range(cap - 1, -1, -1):
-        row, below = values[d], values[d + 1]
-        for s in row:
-            v, b = s
-            vals = [below[(u, b | labels[u])] for u in succ[v]]
-            row[s] = max(vals) if owner[v] == PLAYER1 else min(vals)
-    return values
-
-
-def _bounded_strategy(g: LabeledGameGraph, m: int, cap: int, values) -> TesterStrategy:
-    """Argmax moves along every adversary-reachable winning line, keyed
-    with the remaining budget; the walk stops once the goal is met."""
-    succ, labels, owner = g.succ, g.labels, g.owner
-    moves = {}
-    seen = set()
-    stack = [(g.initial, labels[g.initial], cap)]
-    while stack:
-        v, b, left = stack.pop()
-        if (v, b, left) in seen:
-            continue
-        seen.add((v, b, left))
-        if b.bit_count() >= m or left == 0:
-            continue
-        if owner[v] == PLAYER1:
-            below = values[cap - left + 1]
-            for u in succ[v]:
-                nb = b | labels[u]
-                if below[(u, nb)] >= m:
-                    moves[(v, b, left)] = u
-                    stack.append((u, nb, left - 1))
-                    break
-        else:
-            for u in succ[v]:
-                stack.append((u, b | labels[u], left - 1))
-    return TesterStrategy(moves, budget=cap)
-
-
 def bounded_coverage_game(
     g: LabeledGameGraph,
     m: int,
@@ -343,22 +315,21 @@ def bounded_coverage_game(
     ap_cap: int = DEFAULT_AP_CAP,
 ) -> GameAnswer:
     """Minimax value of the exploration tree capped at k steps, decided
-    against m.
+    against m: the nested attractor over the product layered by depth,
+    whose states at the depth cap or covering all of AP are leaves.
 
-    The effective depth is min(k, |V| * (|AP| + 1)): coverage saturates
-    past that, so deeper budgets cannot change the value. Values are
-    kept per (vertex, covered) state and depth, so each is computed
-    once, iteratively.
+    The depth cap is min(k, |V| * (|AP| + 1)): coverage saturates past
+    that, so deeper budgets cannot change the value.
     """
     _check_game(g, ap_cap)
     check_target(g, m, k)
     cap = min(k, g.n * (len(g.ap) + 1))
-    values = _bounded_values(g, cap)
-    val = values[0][(g.initial, g.labels[g.initial])]
-    if val < m:
-        return GameAnswer(False, value=val)
-    strategy = _bounded_strategy(g, m, cap, values) if want_strategy else None
-    return GameAnswer(True, value=val, strategy=strategy)
+    prod, entered, cause = _solve_product(g, 0, len(g.ap), cap)
+    value = entered[0]
+    if value < m:
+        return GameAnswer(False, value=value)
+    strategy = _cause_strategy(prod, entered, cause, m) if want_strategy else None
+    return GameAnswer(True, value=value, strategy=strategy)
 
 
 def strategy_covers(g: LabeledGameGraph, strategy: TesterStrategy, m: int) -> bool:

@@ -83,11 +83,18 @@ class TestSolve:
     def test_patch_self_loops_recorded(self, capsys, tmp_path):
         g = LabeledGraph.make(["p"], [("a", []), ("s", ["p"])], [("a", "s")], "a")
         path = write_model(tmp_path, g)
-        code, out = run_cli(
-            capsys, "solve", path, "--m", "1", "--patch-self-loops", "--json"
-        )
-        assert code == 0
-        assert json.loads(out)["patched"] == ["s"]
+        witness = write(tmp_path, json.dumps({"kind": "path", "m": 1, "vertices": ["a", "s"]}),
+                        "witness.json")
+        for argv in (
+            ["solve", path, "--m", "1"],
+            ["bounded", path, "--m", "1", "--k", "1"],
+            ["recurrent", path],
+            ["verify", path, "--m", "1"],
+            ["certify", path, "--witness", witness],
+        ):
+            code, out = run_cli(capsys, *argv, "--patch-self-loops", "--json")
+            assert code in (0, 1), argv
+            assert json.loads(out)["patched"] == ["s"], argv
 
     def test_system_input_compiles(self, capsys, tmp_path):
         sys_model = SystemAutomaton.make(
@@ -338,6 +345,12 @@ class TestMalformedInputs:
     def test_malformed_witness(self, capsys, tmp_path, witness):
         game = write(tmp_path, json.dumps(STRATEGY_GAME), "game.cov")
         path = write(tmp_path, json.dumps(witness), "witness.json")
+        self.assert_usage_error(capsys, ["certify", game, "--witness", path])
+
+    def test_truncated_witness(self, capsys, tmp_path):
+        game = write(tmp_path, json.dumps(STRATEGY_GAME), "game.cov")
+        witness = json.dumps({"kind": "path", "m": 1, "vertices": ["v0"]})
+        path = write(tmp_path, witness[:-4], "witness.json")
         self.assert_usage_error(capsys, ["certify", game, "--witness", path])
 
     @pytest.mark.parametrize(

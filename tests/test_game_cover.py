@@ -250,6 +250,20 @@ class TestProduct:
                         assert prod.cov[i] & prod.cov[j] == prod.cov[i]
                         # states covering >= goal are leaves, never expanded
                         assert prod.cov[i].bit_count() < goal
+            full = len(g.ap)
+            for cap in (0, 1, 3):
+                prod = _Product(g, full, cap)
+                layers = prod.layers
+                depth = [d for d in range(len(layers) - 1) for _ in range(layers[d], layers[d + 1])]
+                # no state lies deeper than the cap; cap 0 expands nothing
+                assert len(depth) == len(prod) and max(depth) <= cap
+                assert cap or len(prod) == 1
+                for j, row in enumerate(prod.pred):
+                    for i in row:
+                        # layered: every edge joins depth d to d + 1
+                        assert depth[j] == depth[i] + 1
+                        # fully covered states are leaves
+                        assert prod.cov[i].bit_count() < full
 
 
 class TestRecurrenceGame:

@@ -1,4 +1,4 @@
-"""Property tests: the pruned product searches agree with the brute-force
+"""Property tests: the product searches agree with the brute-force
 oracles on small seeded random graphs and games."""
 
 import random
@@ -6,6 +6,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from covgame import (
+    bounded_coverage_game,
     bounded_coverage_graph,
     coverage_value_graph,
     max_coverage_game,
@@ -60,3 +61,14 @@ def test_game_search_matches_oracle(seed):
         assert ans.decision == oracle.brute_force_game(g, m)
         if ans.decision:
             assert strategy_covers(g, ans.strategy, m)
+
+
+@examples
+@seeds
+def test_bounded_game_value_matches_oracle(seed):
+    g = random_game(random.Random(seed), 6, 3)
+    for k in range(6):
+        value = bounded_coverage_game(g, 0, k).value
+        assert value == max(m for m in range(len(g.ap) + 1) if oracle.brute_force_game(g, m, k))
+        ans = bounded_coverage_game(g, value, k)
+        assert ans.decision and strategy_covers(g, ans.strategy, value)
