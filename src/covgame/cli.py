@@ -9,6 +9,7 @@ across runs for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -152,13 +153,9 @@ def _no_certificate(g, m):
     return _ec_obj(g, ec, m) if count < m else None
 
 
-def _require_m(args) -> int:
-    if args.m is None:
-        raise FormatError("--m is required here")
-    return args.m
-
-
 def _cmd_solve(args) -> int:
+    if args.value == (args.m is not None):
+        raise FormatError("use --m or --value, not both" if args.value else "--m is required here")
     model, out = _load_playable(args)
     is_game = isinstance(model, LabeledGameGraph)
     lines: list[str] = []
@@ -179,8 +176,7 @@ def _cmd_solve(args) -> int:
         lines.extend(_witness_lines(out["witness"]))
         _emit(args, out, lines)
         return 0
-    m = _require_m(args)
-    out["m"] = m
+    m = out["m"] = args.m
     if is_game:
         ans = max_coverage_game(model, m, want_strategy=keep)
         witness = (
@@ -203,7 +199,7 @@ def _cmd_solve(args) -> int:
 def _cmd_bounded(args) -> int:
     model, out = _load_playable(args)
     is_game = isinstance(model, LabeledGameGraph)
-    m = _require_m(args)
+    m = args.m
     out.update(m=m, k=args.k)
     keep = not args.low_memory
     if is_game:
@@ -248,7 +244,10 @@ def _cmd_compile(args) -> int:
     model, patched = _load_model(args)
     if not isinstance(model, SystemAutomaton):
         raise FormatError("compile expects a system model")
-    print(formats.dumps(compile_system(model)))
+    obj = formats.render_obj(compile_system(model))
+    if patched:
+        obj["patched"] = list(patched)
+    print(json.dumps(obj, indent=2, sort_keys=True))
     return 0
 
 
@@ -318,23 +317,26 @@ def _witness_vertices(model, inner: dict) -> tuple[int, ...]:
 
 
 def _cmd_export_dot(args) -> int:
-    model, _ = _load_model(args)
-    sys.stdout.write(formats.to_dot(model))
+    model, patched = _load_model(args)
+    # JSON escapes keep a name with a line break inside the comment
+    names = json.dumps(", ".join(patched), ensure_ascii=False)[1:-1]
+    note = f"\n  // patched: {names}" if patched else ""
+    sys.stdout.write(formats.to_dot(model).replace("\n", note + "\n", 1))
     return 0
 
 
 def _cmd_verify(args) -> int:
     model, out = _load_playable(args)
-    m = _require_m(args)
     if isinstance(model, LabeledGameGraph):
-        decision = oracle.brute_force_game(model, m, args.k)
+        decision = oracle.brute_force_game(model, args.m, args.k)
     else:
-        decision = oracle.brute_force_graph(model, m, args.k)
-    out.update(m=m, k=args.k, decision=decision)
+        decision = oracle.brute_force_graph(model, args.m, args.k)
+    out.update(m=args.m, k=args.k, decision=decision)
     _emit(args, out, [f"oracle decision: {'yes' if decision else 'no'}"])
     return 0 if decision else 1
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", help="machine-readable output")

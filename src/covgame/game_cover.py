@@ -6,9 +6,10 @@ player-1 attractor of the states whose covered set is large enough. The
 goals {covered >= t} are nested, so one incremental attractor yields
 every level, and the successor through which each tester state entered
 gives a finite-memory strategy whose memory is exactly the covered set.
-A decision query at m builds only the states it depends on: states
-covering >= m are goal leaves, seeded into the attractor and never
-expanded. The value query builds the whole reachable product.
+First `_safety_bound` caps the value at the cover ub of a region the
+system can confine the play to, so a decision at m > ub is NO with no
+product. States covering >= the goal (m, or ub for the value) are
+leaves, seeded into the attractor and never expanded.
 
 Bounded coverage runs the same attractor on the product layered by
 depth up to the step budget; on that acyclic game the entry level of
@@ -277,9 +278,11 @@ def max_coverage_game(
     ap_cap: int = DEFAULT_AP_CAP,
 ) -> GameAnswer:
     """Can the tester force >= m distinct propositions to be visited,
-    no matter how the system plays?"""
+    no matter how the system plays? Above the safety bound, NO at once."""
     _check_game(g, ap_cap)
     check_target(g, m)
+    if m > _safety_bound(g, _arena(g)):
+        return GameAnswer(False)
     prod, entered, cause = _solve_product(g, m, m)
     if entered[0] is None:
         return GameAnswer(False)
@@ -294,9 +297,13 @@ def coverage_value_game(
     ap_cap: int = DEFAULT_AP_CAP,
 ) -> GameAnswer:
     """Largest enforceable coverage: the level at which the initial
-    state enters the nested attractor, in one pass over the product."""
+    state enters the nested attractor, in one pass over the product cut
+    at the safety bound ub (a play covers t <= ub no later than ub)."""
     _check_game(g, ap_cap)
-    prod, entered, cause = _solve_product(g, 0, len(g.ap) + 1)
+    ub = _safety_bound(g, _arena(g))
+    if ub == g.labels[g.initial].bit_count():
+        return GameAnswer(True, value=ub, strategy=TesterStrategy({}) if want_strategy else None)
+    prod, entered, cause = _solve_product(g, 0, ub)
     value = entered[0]
     strategy = _cause_strategy(prod, entered, cause, value) if want_strategy else None
     return GameAnswer(True, value=value, strategy=strategy)
@@ -422,6 +429,25 @@ def _trap(g: LabeledGameGraph, arena, allowed: set[int]) -> set[int]:
     outside = [v for v in range(g.n) if v not in allowed]
     entered, _ = _attractor(list(degree), pred, player1, [(0, outside)], g.initial)
     return {v for v in allowed if entered[v] is None}
+
+
+def _confined(g: LabeledGameGraph, arena, props: int) -> set[int] | None:
+    """The part of the trap among the vertices labeled within `props`
+    that the initial vertex reaches inside it; None if it is outside."""
+    trap = _trap(g, arena, _labeled_within(g, props))
+    return _reachable(_inside(g.succ, trap), g.initial) if g.initial in trap else None
+
+
+def _safety_bound(g: LabeledGameGraph, arena) -> int:
+    """Greedy upper bound on the value in |AP| + 1 linear passes: from
+    P = AP, drop each proposition whose loss keeps v_in in the trap of
+    the vertices labeled within P; the system confines every play to
+    the `_confined` set of the final P, so no tester covers more."""
+    props = (1 << len(g.ap)) - 1
+    for bit in _bits(props & ~g.labels[g.initial]):
+        if g.initial in _trap(g, arena, _labeled_within(g, props & ~bit)):
+            props &= ~bit
+    return cover_of(g, _confined(g, arena, props)).bit_count()
 
 
 def _inside(succ, vs: set[int]) -> list[list[int]]:
@@ -562,10 +588,5 @@ def min_safety_value(
     the minimal end-component cover."""
     require_valid(g)
     arena = _arena(g)
-
-    def confined(props):
-        trap = _trap(g, arena, _labeled_within(g, props))
-        return _reachable(_inside(g.succ, trap), g.initial) if g.initial in trap else None
-
-    vs = _cheapest(g, confined, ap_cap)
+    vs = _cheapest(g, lambda props: _confined(g, arena, props), ap_cap)
     return cover_of(g, vs).bit_count(), tuple(sorted(vs))

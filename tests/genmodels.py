@@ -85,6 +85,25 @@ def random_recurrent_game(
             return candidate
 
 
+def sparse_random_game(seed: int, n: int = 200, nap: int = 12) -> LabeledGameGraph:
+    """Three random successors per vertex, one random proposition on
+    about half of the vertices, random owners; initial vertex v0. At
+    n=200, |AP|=12, seed 0 its value is 0, yet its full (vertex,
+    covered) product holds 438,756 states."""
+    rng = random.Random(seed)
+    succ = tuple(tuple(sorted(rng.sample(range(n), 3))) for _ in range(n))
+    labels = tuple(1 << rng.randrange(nap) if rng.random() < 0.5 else 0 for _ in range(n))
+    owner = tuple(rng.choice((1, 2)) for _ in range(n))
+    return LabeledGameGraph(
+        tuple(f"p{i}" for i in range(nap)),
+        tuple(f"v{i}" for i in range(n)),
+        succ,
+        labels,
+        0,
+        owner,
+    )
+
+
 def random_system(
     rng: random.Random,
     max_states: int = 4,

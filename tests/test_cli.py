@@ -16,7 +16,7 @@ from covgame import (
     formats,
     is_controllably_recurrent_game,
 )
-from covgame.cli import main
+from covgame.cli import _parser, main
 from genmodels import wide_games
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -96,6 +96,17 @@ class TestSolve:
             code, out = run_cli(capsys, *argv, "--patch-self-loops", "--json")
             assert code == expected, argv
             assert json.loads(out)["patched"] == ["s"], argv
+        # a system whose state r has no transition
+        sys_model = SystemAutomaton.make(
+            ["p"], ["q", "r"], ["a"], [("q", "a", "r")], "q", {"r": ["p"]}
+        )
+        path = write_model(tmp_path, sys_model, "system.cov")
+        code, out = run_cli(capsys, "compile", path, "--patch-self-loops")
+        assert code == 0 and json.loads(out)["patched"] == ["r"]
+        assert isinstance(formats.loads(out), LabeledGameGraph)
+        code, out = run_cli(capsys, "export-dot", path, "--patch-self-loops")
+        assert code == 0 and out.startswith("digraph")
+        assert "  // patched: r" in out.splitlines()
 
     def test_system_input_compiles(self, capsys, tmp_path):
         sys_model = SystemAutomaton.make(
@@ -181,6 +192,15 @@ class TestCompileAndDot:
         code, out = run_cli(capsys, "export-dot", game_file)
         assert code == 0
         assert out.startswith("digraph") and "diamond" in out
+
+    def test_patch_note_stays_one_comment_line(self, capsys, tmp_path):
+        sys_model = SystemAutomaton.make(
+            ["p"], ["q", "r\n}"], ["a"], [("q", "a", "r\n}")], "q", {"q": ["p"]}
+        )
+        path = write_model(tmp_path, sys_model)
+        code, out = run_cli(capsys, "export-dot", path, "--patch-self-loops")
+        assert code == 0
+        assert out.splitlines()[1] == "  // patched: r\\n}"
 
 
 class TestGadget:
@@ -401,6 +421,10 @@ class TestMalformedInputs:
         path = write(tmp_path, json.dumps(model), "model.cov")
         self.assert_usage_error(capsys, ["solve", path, "--m", "1"])
 
+    def test_value_with_m(self, capsys, tmp_path):
+        path = write(tmp_path, json.dumps(STRATEGY_GAME), "game.cov")
+        self.assert_usage_error(capsys, ["solve", path, "--value", "--m", "1"])
+
     def test_bool_owner(self, capsys, tmp_path):
         obj = json.loads(json.dumps(STRATEGY_GAME))
         obj["vertices"][0]["owner"] = True
@@ -425,3 +449,20 @@ class TestDeterminism:
             first = run_cli(capsys, *argv)
             second = run_cli(capsys, *argv)
             assert first == second
+
+    def test_calls_share_no_state(self, capsys, triangle_file, game_file):
+        # the parser is built once per process; no call may leak into the next
+        calls = [
+            ["solve", game_file, "--m", "1", "--json"],
+            ["solve", game_file, "--m", "1"],
+            ["solve", triangle_file, "--m", "2"],
+            ["solve", triangle_file, "--value"],
+            ["bounded", triangle_file, "--m", "3", "--k", "2", "--json"],
+            ["recurrent", game_file],
+            ["solve", triangle_file, "--value", "--json"],
+        ]
+        alone = []
+        for argv in calls:
+            _parser.cache_clear()
+            alone.append(run_cli(capsys, *argv))
+        assert [run_cli(capsys, *argv) for argv in calls] == alone

@@ -26,7 +26,7 @@ from covgame import (
 )
 from covgame import game_cover
 from covgame.game_cover import _Product
-from genmodels import random_game, random_recurrent_game, wide_games
+from genmodels import random_game, random_recurrent_game, sparse_random_game, wide_games
 
 
 def erase_owners_to_graph(g):
@@ -65,6 +65,51 @@ class TestMaxCoverageGame:
                     max_coverage_game(g, m).decision
                     == oracle.brute_force_game(g, m)
                 )
+
+
+def refuse_product(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(game_cover, "_Product", refuse)
+
+
+class TestSafetyBound:
+    def test_no_product_above_the_bound(self, monkeypatch):
+        rng = random.Random(23)
+        games = [random_game(rng, 8, 4) for _ in range(200)]
+        bounds = [game_cover._safety_bound(g, game_cover._arena(g)) for g in games]
+        refuse_product(monkeypatch)
+        for g, ub in zip(games, bounds):
+            for m in range(ub + 1, len(g.ap) + 1):
+                assert not max_coverage_game(g, m).decision
+
+    def test_value_product_stops_at_the_bound(self, monkeypatch):
+        built = []
+
+        class Recorded(_Product):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(game_cover, "_Product", Recorded)
+        rng = random.Random(29)
+        for g in (random_game(rng, 8, 4) for _ in range(200)):
+            built.clear()
+            ub = game_cover._safety_bound(g, game_cover._arena(g))
+            value = coverage_value_game(g).value
+            assert value <= ub
+            for prod in built:
+                # only states covering fewer than ub propositions are expanded
+                assert all(prod.cov[i].bit_count() < ub for row in prod.pred for i in row)
+
+    def test_zero_value_game_needs_no_product(self, monkeypatch):
+        g = sparse_random_game(0)
+        refuse_product(monkeypatch)
+        ans = coverage_value_game(g)
+        assert ans.value == 0 and strategy_covers(g, ans.strategy, 0)
+        for m in range(1, len(g.ap) + 1):
+            assert not max_coverage_game(g, m).decision
 
 
 class TestCoverageValueGame:

@@ -6,14 +6,18 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from covgame import (
+    PLAYER1,
     bounded_coverage_game,
     bounded_coverage_graph,
+    coverage_value_game,
     coverage_value_graph,
     max_coverage_game,
     max_coverage_graph,
+    min_safety_value,
     oracle,
     strategy_covers,
 )
+from covgame.game_cover import _arena, _confined, _safety_bound
 from covgame.graph_cover import _reach_labels
 from covgame.model import _reachable
 from genmodels import random_game, random_graph
@@ -72,3 +76,46 @@ def test_bounded_game_value_matches_oracle(seed):
         assert value == max(m for m in range(len(g.ap) + 1) if oracle.brute_force_game(g, m, k))
         ans = bounded_coverage_game(g, value, k)
         assert ans.decision and strategy_covers(g, ans.strategy, value)
+
+
+def oracle_value(g):
+    return max(m for m in range(len(g.ap) + 1) if oracle.brute_force_game(g, m))
+
+
+@examples
+@seeds
+def test_safety_bound_caps_the_value(seed):
+    g = random_game(random.Random(seed), 6, 3)
+    ub = _safety_bound(g, _arena(g))
+    assert oracle_value(g) <= ub
+    # greedy, so never below the cheapest confining set
+    assert min_safety_value(g)[0] <= ub <= len(g.ap)
+
+
+@examples
+@seeds
+def test_confined_sets_confine_the_play(seed):
+    g = random_game(random.Random(seed), 6, 3)
+    arena = _arena(g)
+    for props in range(1 << len(g.ap)):
+        vs = _confined(g, arena, props)
+        if vs is None:
+            continue
+        assert g.initial in vs
+        assert _reachable([[u for u in row if u in vs] for row in g.succ], g.initial) == vs
+        for v in vs:
+            assert g.labels[v] & ~props == 0
+            inside = [u for u in g.succ[v] if u in vs]
+            if g.owner[v] == PLAYER1:
+                assert len(inside) == len(g.succ[v])
+            else:
+                assert inside
+
+
+@examples
+@seeds
+def test_game_value_matches_oracle(seed):
+    g = random_game(random.Random(seed), 6, 3)
+    ans = coverage_value_game(g)
+    assert ans.value == oracle_value(g)
+    assert strategy_covers(g, ans.strategy, ans.value)
