@@ -16,6 +16,7 @@ import sys
 from . import formats, oracle
 from .errors import BudgetExceededError, CoverageError, FormatError
 from .game_cover import (
+    GameAnswer,
     TesterStrategy,
     bounded_coverage_game,
     coverage_value_game,
@@ -28,13 +29,13 @@ from .game_cover import (
 from .graph_cover import (
     bounded_coverage_graph,
     coverage_value_graph,
-    is_controllably_recurrent_graph,
     max_coverage_graph,
     max_coverage_recurrent_graph,
 )
 from .model import (
     LabeledGameGraph,
     SystemAutomaton,
+    check_target,
     compile_system,
     cover_of,
     mask_names,
@@ -54,13 +55,15 @@ from .reductions import (
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot read {path}: not UTF-8 ({exc.reason})") from None
 
 
 def _load_model(args):
@@ -93,21 +96,22 @@ def _emit(args, obj: dict, lines: list[str]) -> None:
             print(line)
 
 
-def _path_obj(g, path, m=None) -> dict:
-    mask = cover_of(g, path)
-    obj = {
-        "kind": "path",
-        "vertices": [g.names[v] for v in path],
-        "covered": list(mask_names(g.ap, mask)),
-        "steps": len(path) - 1,
-    }
-    if m is not None:
-        obj["m"] = m
-    return obj
-
-
-def _strategy_obj(g, strategy: TesterStrategy, m: int) -> dict:
-    obj = strategy.to_obj(g)
+def _witness_obj(g, ans, m: int) -> dict | None:
+    """The output form of an answer's witness, a game's strategy or a
+    graph's path, with the target m; None when the answer carries none."""
+    if isinstance(ans, GameAnswer):
+        if ans.strategy is None:
+            return None
+        obj = ans.strategy.to_obj(g)
+    elif ans.witness is None:
+        return None
+    else:
+        obj = {
+            "kind": "path",
+            "vertices": [g.names[v] for v in ans.witness],
+            "covered": list(mask_names(g.ap, cover_of(g, ans.witness))),
+            "steps": len(ans.witness) - 1,
+        }
     obj["m"] = m
     return obj
 
@@ -158,61 +162,45 @@ def _cmd_solve(args) -> int:
         raise FormatError("use --m or --value, not both" if args.value else "--m is required here")
     model, out = _load_playable(args)
     is_game = isinstance(model, LabeledGameGraph)
-    lines: list[str] = []
     keep = not args.low_memory
     if args.value:
         if is_game:
             ans = coverage_value_game(model, want_strategy=keep)
-            out["witness"] = (
-                _strategy_obj(model, ans.strategy, ans.value) if ans.strategy else None
-            )
         else:
             ans = coverage_value_graph(model, want_witness=keep)
-            out["witness"] = (
-                _path_obj(model, ans.witness, ans.value) if ans.witness else None
-            )
         out["value"] = ans.value
-        lines.append(f"value: {ans.value}")
-        lines.extend(_witness_lines(out["witness"]))
-        _emit(args, out, lines)
+        out["witness"] = _witness_obj(model, ans, ans.value)
+        _emit(args, out, [f"value: {ans.value}"] + _witness_lines(out["witness"]))
         return 0
     m = out["m"] = args.m
     if is_game:
         ans = max_coverage_game(model, m, want_strategy=keep)
-        witness = (
-            _strategy_obj(model, ans.strategy, m) if ans.decision and ans.strategy else None
-        )
     else:
         ans = max_coverage_graph(model, m, want_witness=keep)
-        witness = _path_obj(model, ans.witness, m) if ans.decision and ans.witness else None
     out["decision"] = ans.decision
-    out["witness"] = witness
-    certificate = None if ans.decision else _no_certificate(model, m)
-    out["certificate"] = certificate
-    lines.append(f"decision: {'yes' if ans.decision else 'no'}")
-    lines.extend(_witness_lines(witness))
-    lines.extend(_witness_lines(certificate))
+    out["witness"] = _witness_obj(model, ans, m)
+    out["certificate"] = None if ans.decision else _no_certificate(model, m)
+    lines = [f"decision: {'yes' if ans.decision else 'no'}"]
+    lines.extend(_witness_lines(out["witness"]))
+    lines.extend(_witness_lines(out["certificate"]))
     _emit(args, out, lines)
     return 0 if ans.decision else 1
 
 
 def _cmd_bounded(args) -> int:
     model, out = _load_playable(args)
-    is_game = isinstance(model, LabeledGameGraph)
     m = args.m
     out.update(m=m, k=args.k)
     keep = not args.low_memory
-    if is_game:
+    if isinstance(model, LabeledGameGraph):
         ans = bounded_coverage_game(model, m, args.k, want_strategy=keep)
-        out["value"] = ans.value
-        witness = (
-            _strategy_obj(model, ans.strategy, m) if ans.decision and ans.strategy else None
-        )
     else:
         ans = bounded_coverage_graph(model, m, args.k, want_witness=keep)
-        witness = _path_obj(model, ans.witness, m) if ans.decision and ans.witness else None
-        if witness is not None:
-            out["steps_used"] = len(ans.witness) - 1
+    witness = _witness_obj(model, ans, m)
+    if ans.value is not None:
+        out["value"] = ans.value
+    if witness is not None and witness["kind"] == "path":
+        out["steps_used"] = witness["steps"]
     out["decision"] = ans.decision
     out["witness"] = witness
     lines = [f"decision: {'yes' if ans.decision else 'no'}"]
@@ -223,17 +211,13 @@ def _cmd_bounded(args) -> int:
 
 def _cmd_recurrent(args) -> int:
     model, out = _load_playable(args)
-    is_game = isinstance(model, LabeledGameGraph)
-    if is_game:
-        recurrent, stray = is_controllably_recurrent_game(model)
-    else:
-        recurrent, stray = is_controllably_recurrent_graph(model)
+    recurrent, stray = is_controllably_recurrent_game(model)
     out["recurrent"] = recurrent
     out["counterexample"] = None if stray is None else model.names[stray]
     lines = [f"controllably recurrent: {'yes' if recurrent else 'no'}"]
     if stray is not None:
         lines.append(f"counterexample: {model.names[stray]} cannot be forced back")
-    if recurrent and not is_game:
+    if recurrent and not isinstance(model, LabeledGameGraph):
         out["value"] = max_coverage_recurrent_graph(model)
         lines.append(f"value (component fast path): {out['value']}")
     _emit(args, out, lines)
@@ -279,8 +263,10 @@ def _cmd_certify(args) -> int:
     if not isinstance(inner, dict) or "kind" not in inner:
         raise FormatError("witness file does not contain a checkable object")
     m = args.m if args.m is not None else inner.get("m")
-    if m is not None and (not isinstance(m, int) or isinstance(m, bool)):
-        raise FormatError(f"witness target m={m!r} is not an integer")
+    if m is not None:
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise FormatError(f"witness target m={m!r} is not an integer")
+        check_target(model, m)
     kind = inner["kind"]
     if kind == "path":
         path = _witness_vertices(model, inner)

@@ -174,6 +174,8 @@ def decode(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError("JSON nested too deeply") from None
 
 
 def loads(text: str, kind: str = "auto"):

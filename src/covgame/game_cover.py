@@ -20,6 +20,10 @@ vertices labeled within a proposition set P, one linear pass of
 attractor and reachability sweeps finds the maximal end component (or
 trap) through the initial vertex; `_cheapest` searches P from both
 ends, in at most 2^(min(k, |AP|)+1) passes for k distinct label sets.
+
+Controllable recurrence is the tester's attractor of the initial vertex,
+one linear pass with no product. A plain LabeledGraph is the game the
+tester owns entirely, so graph recurrence in graph_cover is this check.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .model import (
     DEFAULT_AP_CAP,
     PLAYER1,
     LabeledGameGraph,
+    LabeledGraph,
     _predecessors,
     _reachable,
     check_target,
@@ -405,19 +410,31 @@ def strategy_covers(g: LabeledGameGraph, strategy: TesterStrategy, m: int) -> bo
 def is_controllably_recurrent_game(g: LabeledGameGraph) -> tuple[bool, int | None]:
     """Can the tester force a return to the initial vertex from every
     vertex reachable in the underlying graph? Returns the verdict and
-    the smallest reachable vertex outside the return attractor."""
+    the smallest reachable vertex outside the return attractor. A plain
+    LabeledGraph is the game the tester owns entirely: it is recurrent
+    iff every reachable vertex has a path back."""
+    stray = _return_check(g)[1]
+    return stray is None, stray
+
+
+def _return_check(g: LabeledGraph) -> tuple[set[int], int | None]:
+    """The vertices reachable from the initial vertex, and the smallest
+    of them outside the tester's attractor of the initial vertex (None
+    when there is none). Linear in |V| + |E|."""
     require_valid(g)
     inside, _ = _attractor(*_arena(g), [(0, [g.initial])], g.initial)
-    stray = [v for v in _reachable(g.succ, g.initial) if inside[v] is None]
-    if stray:
-        return False, min(stray)
-    return True, None
+    reach = _reachable(g.succ, g.initial)
+    return reach, min([v for v in reach if inside[v] is None], default=None)
 
 
-def _arena(g: LabeledGameGraph):
+def _arena(g: LabeledGraph):
     """The attractor kernel's input over the game graph itself: out-degrees
-    (consumed by the kernel), predecessor rows and player-1 flags."""
-    player1 = [who == PLAYER1 for who in g.owner]
+    (consumed by the kernel), predecessor rows and player-1 flags. A plain
+    LabeledGraph is the game in which the tester owns every vertex."""
+    if isinstance(g, LabeledGameGraph):
+        player1 = [who == PLAYER1 for who in g.owner]
+    else:
+        player1 = [True] * g.n
     return [len(row) for row in g.succ], _predecessors(g.succ), player1
 
 

@@ -18,14 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotRecurrentError
-from .model import (
-    LabeledGraph,
-    _predecessors,
-    _reachable,
-    check_target,
-    cover_of,
-    require_valid,
-)
+from .game_cover import _return_check
+from .model import LabeledGraph, check_target, cover_of, require_valid
 
 
 @dataclass(frozen=True)
@@ -189,21 +183,12 @@ def coverage_value_graph(g: LabeledGraph, *, want_witness: bool = True) -> Graph
     return GraphAnswer(True, value=most, witness=witness)
 
 
-def _forward_backward(g: LabeledGraph) -> tuple[set[int], set[int]]:
-    """Vertices reachable from the initial vertex, and vertices that can
-    reach it. Both by plain BFS, linear in |V| + |E|."""
-    return _reachable(g.succ, g.initial), _reachable(_predecessors(g.succ), g.initial)
-
-
 def is_controllably_recurrent_graph(g: LabeledGraph) -> tuple[bool, int | None]:
     """Does every vertex reachable from the initial vertex admit a path
-    back to it? Returns the verdict and the smallest stray vertex id."""
-    require_valid(g)
-    fwd, bwd = _forward_backward(g)
-    stray = [v for v in fwd if v not in bwd]
-    if stray:
-        return False, min(stray)
-    return True, None
+    back to it? Returns the verdict and the smallest stray vertex id.
+    This is game recurrence on the game the tester owns entirely."""
+    stray = _return_check(g)[1]
+    return stray is None, stray
 
 
 def max_coverage_recurrent_graph(g: LabeledGraph) -> int:
@@ -212,12 +197,11 @@ def max_coverage_recurrent_graph(g: LabeledGraph) -> int:
     Under recurrence every reachable vertex sits inside the strongly
     connected component of the initial vertex, so one path can sweep the
     whole reachable set and the value is just its label-union size.
+    Otherwise NotRecurrentError names the smallest stray vertex.
     """
-    require_valid(g)
-    fwd, bwd = _forward_backward(g)
-    for v in fwd:
-        if v not in bwd:
-            raise NotRecurrentError(
-                f"vertex {g.names[v]!r} is reachable but cannot return to the initial vertex"
-            )
-    return cover_of(g, fwd).bit_count()
+    reach, stray = _return_check(g)
+    if stray is not None:
+        raise NotRecurrentError(
+            f"vertex {g.names[stray]!r} is reachable but cannot return to the initial vertex"
+        )
+    return cover_of(g, reach).bit_count()

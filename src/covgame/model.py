@@ -12,7 +12,7 @@ between concurrent solver calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -441,35 +441,16 @@ def patch_self_loops(model: Model) -> tuple[Model, tuple[str, ...]]:
     stall there), so solvers never do this silently; callers opt in.
     """
     if isinstance(model, SystemAutomaton):
-        extra = []
-        for q in range(model.n):
-            for a in range(len(model.alphabet)):
-                if not model.delta.get((q, a)):
-                    extra.append((q, a, q))
-        if not extra:
-            return model, ()
+        extra = [
+            (q, a, q)
+            for q in range(model.n)
+            for a in range(len(model.alphabet))
+            if not model.delta.get((q, a))
+        ]
         patched = tuple(sorted({model.states[q] for q, _, _ in extra}))
-        fixed = SystemAutomaton(
-            model.ap,
-            model.states,
-            model.alphabet,
-            tuple(sorted(set(model.transitions) | set(extra))),
-            model.initial,
-            model.labels,
-        )
-        return fixed, patched
-
-    sinks = tuple(v for v in range(model.n) if not model.succ[v])
-    if not sinks:
-        return model, ()
-    succ = tuple(
-        row if row else (v,) for v, row in enumerate(model.succ)
-    )
-    patched = tuple(model.names[v] for v in sinks)
-    if isinstance(model, LabeledGameGraph):
-        fixed = LabeledGameGraph(
-            model.ap, model.names, succ, model.labels, model.initial, model.owner
-        )
+        fixed = replace(model, transitions=tuple(sorted({*model.transitions, *extra})))
     else:
-        fixed = LabeledGraph(model.ap, model.names, succ, model.labels, model.initial)
-    return fixed, patched
+        sinks = [v for v in range(model.n) if not model.succ[v]]
+        patched = tuple(model.names[v] for v in sinks)
+        fixed = replace(model, succ=tuple(row or (v,) for v, row in enumerate(model.succ)))
+    return (fixed, patched) if patched else (model, ())

@@ -31,6 +31,15 @@ class _Budget:
             raise BudgetExceededError("oracle expansion budget exhausted")
 
 
+def _unwound(search, *args):
+    """`search(*args)`, reporting recursion deeper than the interpreter
+    allows as an exhausted budget, so the searches can stay recursive."""
+    try:
+        return search(*args)
+    except RecursionError:
+        raise BudgetExceededError("oracle recursion too deep for the interpreter") from None
+
+
 def brute_force_graph(
     g: LabeledGraph, m: int, k: int | None = None, budget: int = DEFAULT_BUDGET
 ) -> bool:
@@ -69,7 +78,7 @@ def brute_force_graph(
             on_path.discard(key)
         return False
 
-    return extend(g.initial, b0, depth)
+    return _unwound(extend, g.initial, b0, depth)
 
 
 def _reach(rows, start: int) -> set[int]:
@@ -135,7 +144,7 @@ def brute_force_game(
             return any(wins(u, b | labels[u], left - 1) for u in eager[v])
         return all(wins(u, b | labels[u], left - 1) for u in stingy[v])
 
-    return wins(g.initial, labels[g.initial], depth)
+    return _unwound(wins, g.initial, labels[g.initial], depth)
 
 
 def _confining_covers(g: LabeledGameGraph, budget: int, connected: bool):
@@ -220,7 +229,7 @@ def qbf_eval_brute(phi, budget: int = DEFAULT_BUDGET) -> bool:
             return False
         return ev(i + 1, bits)
 
-    return ev(0, 0)
+    return _unwound(ev, 0, 0)
 
 
 def min_vertex_cover_brute(h, budget: int = DEFAULT_BUDGET) -> int:
@@ -259,4 +268,4 @@ def hampath_brute(h, start: str, budget: int = DEFAULT_BUDGET) -> bool:
                 visited.discard(u)
         return False
 
-    return dfs(start, {start})
+    return _unwound(dfs, start, {start})

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import EmptyEdgeSetError, FormatError
 from .formats import render_obj
-from .model import PLAYER1, PLAYER2, LabeledGameGraph, LabeledGraph
+from .model import PLAYER1, PLAYER2, LabeledGameGraph, LabeledGraph, patch_self_loops
 
 
 @dataclass(frozen=True)
@@ -306,14 +306,12 @@ def hampath_to_bounded(h: Digraph, start: str) -> GadgetResult:
     if start not in h.vertices:
         raise FormatError(f"unknown start vertex {start!r}")
     n = len(h.vertices)
-    with_out = {a for a, _ in h.edges}
-    sinks = [v for v in h.vertices if v not in with_out]
-    edges = list(dict.fromkeys(h.edges)) + [(v, v) for v in sinks]
-    model = LabeledGraph.make(h.vertices, [(v, (v,)) for v in h.vertices], edges, start)
+    graph = LabeledGraph.make(h.vertices, [(v, (v,)) for v in h.vertices], h.edges, start)
+    model, sinks = patch_self_loops(graph)
     meta = {
         "reduction": "hampath",
         "start": start,
-        "patched_sinks": sinks,
+        "patched_sinks": list(sinks),
         "property": "bounded decision true iff a Hamiltonian path from start exists",
     }
     return GadgetResult(model, n, n - 1, meta)

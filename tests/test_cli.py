@@ -20,6 +20,7 @@ from covgame.cli import _parser, main
 from genmodels import wide_games
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+DEMO_MODELS = Path(__file__).resolve().parent.parent / "demos" / "models"
 
 
 def write(tmp_path, text, name):
@@ -431,12 +432,59 @@ class TestMalformedInputs:
         path = write(tmp_path, json.dumps(obj), "game.cov")
         self.assert_usage_error(capsys, ["solve", path, "--m", "1"])
 
+    @pytest.mark.parametrize(
+        "model, witness",
+        [
+            ("triangle.cov", {"kind": "path", "vertices": ["a"]}),
+            ("handshake.game.cov", {"kind": "strategy", "entries": []}),
+            ("handshake.game.cov", {"kind": "end-component", "vertices": ["home"]}),
+        ],
+        ids=["path", "strategy", "end-component"],
+    )
+    @pytest.mark.parametrize("m", ["-1", "9"])
+    def test_certify_m_out_of_range(self, capsys, tmp_path, model, witness, m):
+        path = write(tmp_path, json.dumps(witness), "witness.json")
+        model = str(DEMO_MODELS / model)
+        self.assert_usage_error(capsys, ["certify", model, "--witness", path, "--m", m])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{bad}", "--m", "1"],
+            ["certify", "{triangle}", "--witness", "{bad}"],
+            ["gadget", "sat", "{bad}"],
+        ],
+        ids=["solve", "certify", "gadget"],
+    )
+    @pytest.mark.parametrize(
+        "data", [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000], ids=["not-utf8", "deep-json"]
+    )
+    def test_undecodable_input(self, capsys, tmp_path, argv, data):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        names = {"bad": str(bad), "triangle": str(DEMO_MODELS / "triangle.cov")}
+        self.assert_usage_error(capsys, [a.format(**names) for a in argv])
+
 
 class TestVerify:
     def test_oracle_agrees_with_solver(self, capsys, triangle_file):
         assert main(["verify", triangle_file, "--m", "3"]) == 0
         capsys.readouterr()
         assert main(["verify", triangle_file, "--m", "3", "--k", "1"]) == 1
+
+    def test_long_path_exceeds_budget(self, capsys, tmp_path):
+        # one oracle recursion per step: a 3,000-step path is too deep
+        n = 3000
+        g = LabeledGraph.make(
+            ["p", "q"],
+            [(f"v{i}", ["p"] if i == n - 1 else []) for i in range(n)],
+            [(f"v{i}", f"v{min(i + 1, n - 1)}") for i in range(n)],
+            "v0",
+        )
+        path = write_model(tmp_path, g)
+        assert main(["verify", path, "--m", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestDeterminism:

@@ -1,17 +1,22 @@
 """Graph coverage solvers against worked examples and the path oracle."""
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covgame import (
+    PLAYER1,
     InvalidModelError,
+    LabeledGameGraph,
     LabeledGraph,
     MOutOfRangeError,
     NotRecurrentError,
     bounded_coverage_graph,
     cover_of,
     coverage_value_graph,
+    is_controllably_recurrent_game,
     is_controllably_recurrent_graph,
     max_coverage_graph,
     max_coverage_recurrent_graph,
@@ -215,3 +220,27 @@ class TestRecurrence:
         for _ in range(80):
             g = random_strongly_connected_graph(rng)
             assert max_coverage_recurrent_graph(g) == coverage_value_graph(g).value
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), connected=st.booleans())
+def test_recurrence_matches_reachability(seed, connected):
+    """Verdict, stray and fast-path value against forward and backward
+    reachability from the oracle, and against the all-tester game."""
+    rng = random.Random(seed)
+    g = random_strongly_connected_graph(rng) if connected else random_graph(rng, 8, 4)
+    back = [[] for _ in range(g.n)]
+    for v, u in g.edges():
+        back[u].append(v)
+    fwd = oracle._reach(g.succ, g.initial)
+    stray = min(fwd - oracle._reach(back, g.initial), default=None)
+    want = (stray is None, stray)
+    game = LabeledGameGraph(g.ap, g.names, g.succ, g.labels, g.initial, (PLAYER1,) * g.n)
+    assert is_controllably_recurrent_graph(g) == want
+    assert is_controllably_recurrent_game(game) == want
+    assert is_controllably_recurrent_game(g) == want
+    if stray is None:
+        assert max_coverage_recurrent_graph(g) == oracle._union(g, fwd).bit_count()
+    else:
+        with pytest.raises(NotRecurrentError, match=re.escape(repr(g.names[stray]))):
+            max_coverage_recurrent_graph(g)

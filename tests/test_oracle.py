@@ -6,6 +6,7 @@ from covgame import (
     BudgetExceededError,
     CnfFormula,
     Digraph,
+    LabeledGameGraph,
     QbfFormula,
     UndirectedGraph,
     oracle,
@@ -38,6 +39,18 @@ class TestGameOracle:
     def test_budget_aborts(self, triangle_game):
         with pytest.raises(BudgetExceededError):
             oracle.brute_force_game(triangle_game, 3, budget=2)
+
+    def test_deep_recursion_is_budget_error(self):
+        # one recursion per step: a 3,000-step path is deeper than the interpreter allows
+        n = 3000
+        g = LabeledGameGraph.make_game(
+            ["p", "q"],
+            [(f"v{i}", ["p"] if i == n - 1 else [], 1) for i in range(n)],
+            [(f"v{i}", f"v{min(i + 1, n - 1)}") for i in range(n)],
+            "v0",
+        )
+        with pytest.raises(BudgetExceededError):
+            oracle.brute_force_game(g, 1)
 
     def test_deterministic(self, adversarial_game):
         runs = {oracle.brute_force_game(adversarial_game, 2) for _ in range(3)}
