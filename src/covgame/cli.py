@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import formats, oracle
@@ -18,6 +19,7 @@ from .errors import BudgetExceededError, CoverageError, FormatError
 from .game_cover import (
     GameAnswer,
     TesterStrategy,
+    _return_check,
     bounded_coverage_game,
     coverage_value_game,
     is_controllably_recurrent_game,
@@ -30,7 +32,6 @@ from .graph_cover import (
     bounded_coverage_graph,
     coverage_value_graph,
     max_coverage_graph,
-    max_coverage_recurrent_graph,
 )
 from .model import (
     LabeledGameGraph,
@@ -88,12 +89,22 @@ def _load_playable(args):
     return model, out
 
 
+def _write(text: str) -> None:
+    """Write to stdout. When the reader has closed the pipe, stdout is
+    pointed at os.devnull, so the flush at exit stays quiet, and the
+    command goes on to return its own exit code."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(args, obj: dict, lines: list[str]) -> None:
     if args.json:
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        _write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     else:
-        for line in lines:
-            print(line)
+        _write("".join(line + "\n" for line in lines))
 
 
 def _witness_obj(g, ans, m: int) -> dict | None:
@@ -211,14 +222,16 @@ def _cmd_bounded(args) -> int:
 
 def _cmd_recurrent(args) -> int:
     model, out = _load_playable(args)
-    recurrent, stray = is_controllably_recurrent_game(model)
+    reach, stray = _return_check(model)
+    recurrent = stray is None
     out["recurrent"] = recurrent
     out["counterexample"] = None if stray is None else model.names[stray]
     lines = [f"controllably recurrent: {'yes' if recurrent else 'no'}"]
     if stray is not None:
         lines.append(f"counterexample: {model.names[stray]} cannot be forced back")
     if recurrent and not isinstance(model, LabeledGameGraph):
-        out["value"] = max_coverage_recurrent_graph(model)
+        # recurrence puts every reachable vertex on one sweep from v_in
+        out["value"] = cover_of(model, reach).bit_count()
         lines.append(f"value (component fast path): {out['value']}")
     _emit(args, out, lines)
     return 0 if recurrent else 1
@@ -231,7 +244,7 @@ def _cmd_compile(args) -> int:
     obj = formats.render_obj(compile_system(model))
     if patched:
         obj["patched"] = list(patched)
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -247,7 +260,7 @@ def _cmd_gadget(args) -> int:
         h = parse_edge_list(text, directed=True)
         start = args.start if args.start is not None else (h.vertices or ("?",))[0]
         result = hampath_to_bounded(h, start)
-    print(json.dumps(result.to_obj(), indent=2, sort_keys=True))
+    _write(json.dumps(result.to_obj(), indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -307,7 +320,7 @@ def _cmd_export_dot(args) -> int:
     # JSON escapes keep a name with a line break inside the comment
     names = json.dumps(", ".join(patched), ensure_ascii=False)[1:-1]
     note = f"\n  // patched: {names}" if patched else ""
-    sys.stdout.write(formats.to_dot(model).replace("\n", note + "\n", 1))
+    _write(formats.to_dot(model).replace("\n", note + "\n", 1))
     return 0
 
 

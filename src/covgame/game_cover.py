@@ -8,8 +8,13 @@ every level, and the successor through which each tester state entered
 gives a finite-memory strategy whose memory is exactly the covered set.
 First `_safety_bound` caps the value at the cover ub of a region the
 system can confine the play to, so a decision at m > ub is NO with no
-product. States covering >= the goal (m, or ub for the value) are
-leaves, seeded into the attractor and never expanded.
+product. In a decision at m, states covering >= m are winning leaves,
+seeded into the attractor and never expanded, and a state (v, b) is a
+losing leaf when v lies in Trap(P), the trap among the vertices labeled
+within some P ⊇ b with |P| = m - 1 (`_Traps`). Trap passes are memoized
+per query, shared with the bound, and charged against the losing leaves
+met. The value is the first YES among the decisions at t = ub, ub - 1,
+..., |L(v_in)| + 1.
 
 Bounded coverage runs the same attractor on the product layered by
 depth up to the step budget; on that acyclic game the entry level of
@@ -155,13 +160,18 @@ def _check_game(g: LabeledGameGraph, ap_cap: int) -> None:
 class _Product:
     """Reachable part of the (vertex, covered) product, built breadth
     first from (v_in, L(v_in)); only reachable states are materialized,
-    and states covering >= `goal` are leaves that are never expanded.
+    and leaves are never expanded.
 
     State i is the pair (vert[i], cov[i]); state 0 is the initial state.
     The lookup key of a state is the integer cov * n + v, so no tuple is
     made per state. Predecessor rows are filled during the build, in
     ascending source order, and `pending` holds each state's out-degree.
     The states of BFS depth d are layers[d] .. layers[d + 1] - 1.
+
+    One dict lookup per state finds the leaf vertices of its covered
+    set b (see `_Leaves`): all of V when |b| >= `goal`, else those that
+    `traps` proves confined below the goal. A confined leaf never enters
+    the attractor, so it is a losing leaf; `traps.met` counts them.
 
     With a depth `cap` the product is layered: each depth has its own
     key index, so a pair reached at two depths is two states, every edge
@@ -170,19 +180,22 @@ class _Product:
 
     __slots__ = ("vert", "cov", "pred", "pending", "player1", "layers", "cap")
 
-    def __init__(self, g: LabeledGameGraph, goal: int, cap: int | None = None):
+    def __init__(self, g: LabeledGameGraph, goal: int, cap: int | None = None, traps=None):
         n, labels, succ = g.n, g.labels, g.succ
         v0 = g.initial
         vert, cov = [v0], [labels[v0]]
         index = {labels[v0] * n + v0: 0}
         pred: list[list[int]] = [[]]
         layers = [0, 1]
+        leaves = _Leaves(n, goal, traps)
         while layers[-2] < layers[-1] and len(layers) - 2 != cap:
             if cap is not None:
                 index = {}  # layered: the next depth's states are all new
             for i, v in enumerate(vert[layers[-2]:], layers[-2]):
                 b = cov[i]
-                if b.bit_count() >= goal:
+                if v in leaves[b]:
+                    if b.bit_count() < goal:
+                        traps.met += 1
                     continue
                 for u in succ[v]:
                     c = b | labels[u]
@@ -208,6 +221,26 @@ class _Product:
 
     def __len__(self) -> int:
         return len(self.vert)
+
+
+class _Leaves(dict):
+    """Covered set b -> its leaf vertices, filled on first use: all of V
+    when |b| >= `goal`, otherwise `traps.confined(b, goal)`, or none
+    without `traps`."""
+
+    def __init__(self, n: int, goal: int, traps):
+        super().__init__()
+        self.n, self.goal, self.traps = n, goal, traps
+
+    def __missing__(self, b: int) -> Iterable[int]:
+        if b.bit_count() >= self.goal:
+            leaf: Iterable[int] = range(self.n)
+        elif self.traps is None:
+            leaf = ()
+        else:
+            leaf = self.traps.confined(b, self.goal)
+        self[b] = leaf
+        return leaf
 
 
 def _attractor(pending, pred, player1, levels, stop):
@@ -246,14 +279,14 @@ def _attractor(pending, pred, player1, levels, stop):
     return entered, cause
 
 
-def _solve_product(g: LabeledGameGraph, floor: int, goal: int, cap: int | None = None):
+def _solve_product(g: LabeledGameGraph, floor: int, goal: int, cap: int | None = None, traps=None):
     """Nested attractor of the goals {covered >= t}, t = |AP| down to
     `floor`, over the product whose states covering >= `goal` (or, with
     a depth cap, at depth `cap`) are leaves. The initial state's entry
     level is the coverage value, or None when the value is below
     `floor`; on a layered product it is the minimax value of the
     exploration tree cut at depth `cap`."""
-    prod = _Product(g, goal, cap)
+    prod = _Product(g, goal, cap, traps)
     by_count: list[list[int]] = [[] for _ in range(len(g.ap) + 1)]
     for i, b in enumerate(prod.cov):
         by_count[b.bit_count()].append(i)
@@ -275,6 +308,16 @@ def _cause_strategy(prod: _Product, entered, cause, m: int) -> TesterStrategy:
     return TesterStrategy(moves, cap)
 
 
+def _decide(traps: "_Traps", m: int, want_strategy: bool) -> GameAnswer:
+    """The decision at m over the product whose states covering >= m
+    are winning leaves and whose confined states are losing ones."""
+    prod, entered, cause = _solve_product(traps.g, m, m, None, traps)
+    if entered[0] is None:
+        return GameAnswer(False)
+    strategy = _cause_strategy(prod, entered, cause, m) if want_strategy else None
+    return GameAnswer(True, strategy=strategy)
+
+
 def max_coverage_game(
     g: LabeledGameGraph,
     m: int,
@@ -286,13 +329,10 @@ def max_coverage_game(
     no matter how the system plays? Above the safety bound, NO at once."""
     _check_game(g, ap_cap)
     check_target(g, m)
-    if m > _safety_bound(g, _arena(g)):
+    traps = _Traps(g)
+    if m > _safety_bound(traps):
         return GameAnswer(False)
-    prod, entered, cause = _solve_product(g, m, m)
-    if entered[0] is None:
-        return GameAnswer(False)
-    strategy = _cause_strategy(prod, entered, cause, m) if want_strategy else None
-    return GameAnswer(True, strategy=strategy)
+    return _decide(traps, m, want_strategy)
 
 
 def coverage_value_game(
@@ -301,17 +341,17 @@ def coverage_value_game(
     want_strategy: bool = True,
     ap_cap: int = DEFAULT_AP_CAP,
 ) -> GameAnswer:
-    """Largest enforceable coverage: the level at which the initial
-    state enters the nested attractor, in one pass over the product cut
-    at the safety bound ub (a play covers t <= ub no later than ub)."""
+    """Largest enforceable coverage: the first YES among the decisions
+    at t = ub, ub - 1, ..., |L(v_in)| + 1 below the safety bound ub, or
+    |L(v_in)| with the empty strategy when every one says NO."""
     _check_game(g, ap_cap)
-    ub = _safety_bound(g, _arena(g))
-    if ub == g.labels[g.initial].bit_count():
-        return GameAnswer(True, value=ub, strategy=TesterStrategy({}) if want_strategy else None)
-    prod, entered, cause = _solve_product(g, 0, ub)
-    value = entered[0]
-    strategy = _cause_strategy(prod, entered, cause, value) if want_strategy else None
-    return GameAnswer(True, value=value, strategy=strategy)
+    traps = _Traps(g)
+    base = g.labels[g.initial].bit_count()
+    for t in range(_safety_bound(traps), base, -1):
+        ans = _decide(traps, t, want_strategy)
+        if ans.decision:
+            return GameAnswer(True, value=t, strategy=ans.strategy)
+    return GameAnswer(True, value=base, strategy=TesterStrategy({}) if want_strategy else None)
 
 
 # ---------------------------------------------------------------------------
@@ -441,30 +481,130 @@ def _arena(g: LabeledGraph):
 def _trap(g: LabeledGameGraph, arena, allowed: set[int]) -> set[int]:
     """Vertices of `allowed` from which the system keeps the play inside
     it forever: the complement of the player-1 attractor of the rest.
-    `arena` is built once per query; its degrees are copied per call."""
+    `arena` is built once per query. Under a third of V, the kernel runs
+    on `allowed` plus one node standing for the rest, in time linear in
+    `allowed` and its out-edges; otherwise on the whole arena, whose
+    degrees are copied per call."""
     degree, pred, player1 = arena
+    if 3 * len(allowed) < g.n:
+        local = {v: i for i, v in enumerate(allowed)}
+        rest = len(local)
+        into: list[list[int]] = [[] for _ in range(rest + 1)]
+        for v, i in local.items():
+            for u in g.succ[v]:
+                into[local.get(u, rest)].append(i)
+        pending = [degree[v] for v in local] + [0]
+        entered, _ = _attractor(pending, into, [player1[v] for v in local] + [True], [(0, [rest])], rest)
+        return {v for v, i in local.items() if entered[i] is None}
     outside = [v for v in range(g.n) if v not in allowed]
     entered, _ = _attractor(list(degree), pred, player1, [(0, outside)], g.initial)
     return {v for v in allowed if entered[v] is None}
 
 
-def _confined(g: LabeledGameGraph, arena, props: int) -> set[int] | None:
+class _Traps:
+    """Trap(P), the trap among the vertices labeled within proposition
+    set P, memoized for one query as a vertex mask (`memo`) and a set
+    (`sets`). Propositions on no vertex leave that vertex set unchanged,
+    so the key drops them. `passes` counts the traps computed, `spent`
+    the work of the losing-leaf walks and `met` the losing leaves the
+    products of the query have met."""
+
+    def __init__(self, g: LabeledGameGraph):
+        self.g, self.arena, self.memo, self.sets = g, _arena(g), {}, {}
+        self.used = 0
+        for b in g.labels:
+            self.used |= b
+        self.live: list[tuple[int, int]] | None = None
+        self.passes = self.spent = self.met = 0
+
+    def __call__(self, props: int, within: int = -1) -> int:
+        """Trap(P) as a vertex mask; `within` is a mask known to hold it
+        (-1, every vertex, when none is known)."""
+        key = props & self.used
+        trap = self.memo.get(key)
+        if trap is None:
+            self.passes += 1
+            if within == -1:
+                allowed = _labeled_within(self.g, key)
+            else:
+                labels, bits = self.g.labels, bin(within)[:1:-1]
+                allowed = {v for v, bit in enumerate(bits) if bit == "1" and labels[v] & ~key == 0}
+            vs = self.sets[key] = _trap(self.g, self.arena, allowed)
+            trap = self.memo[key] = sum(1 << v for v in vs)
+        return trap
+
+    def confined(self, b: int, m: int) -> Iterable[int]:
+        """Vertices from which the system keeps the cover of a play that
+        has covered b below m: the union of Trap(P) over P ⊇ b with
+        |P| = m - 1, unused propositions padding P.
+
+        Trap(P) lies within Trap(used - {p}) for each p outside P, so
+        only the `live` propositions, those whose co-singleton trap is
+        not empty, are worth dropping. A depth-first walk from P = used
+        drops live propositions outside b, bounds each set's trap by the
+        traps of the sets above it, and skips a set whose bound adds
+        nothing. Each set looked at costs 1 and each fresh pass |V|; the
+        walks of a query stop once they have spent (|AP| + met) * |V|,
+        so the losing leaves met pay for more. A partial union prunes
+        less but stays exact."""
+        n, memo, used = self.g.n, self.memo, self.used
+        drop = (used | b).bit_count() - (m - 1)
+        if drop <= 0:
+            return range(n)
+        credit = (len(self.g.ap) + self.met) * n
+        if self.spent > credit:
+            return ()
+        if self.live is None:
+            self.live = [(p, top) for p in _bits(used) if (top := self(used & ~p))]
+        free = [(p, top) for p, top in self.live if not b & p]
+        if len(free) < drop:
+            return ()
+        out, union = 0, set()
+        stack = [(used, 0, -1, drop)]
+        while stack and self.spent <= credit:
+            props, start, within, left = stack.pop()
+            last = len(free) - left
+            self.spent += last + 1 - start
+            for j in range(start, last + 1):
+                p, top = free[j]
+                child = props & ~p
+                bound = within & top
+                trap = memo.get(child)
+                if trap is not None:
+                    bound &= trap
+                if not bound & ~out:
+                    continue
+                if left > 1:
+                    stack.append((child, j + 1, bound, left - 1))
+                    continue
+                if trap is None:
+                    trap = self(child, bound)
+                    self.spent += n
+                out |= trap
+                union |= self.sets[child]
+        return union
+
+
+def _confined(traps: _Traps, props: int) -> set[int] | None:
     """The part of the trap among the vertices labeled within `props`
     that the initial vertex reaches inside it; None if it is outside."""
-    trap = _trap(g, arena, _labeled_within(g, props))
-    return _reachable(_inside(g.succ, trap), g.initial) if g.initial in trap else None
+    g = traps.g
+    if not traps(props) >> g.initial & 1:
+        return None
+    return _reachable(_inside(g.succ, traps.sets[props & traps.used]), g.initial)
 
 
-def _safety_bound(g: LabeledGameGraph, arena) -> int:
+def _safety_bound(traps: _Traps) -> int:
     """Greedy upper bound on the value in |AP| + 1 linear passes: from
     P = AP, drop each proposition whose loss keeps v_in in the trap of
     the vertices labeled within P; the system confines every play to
     the `_confined` set of the final P, so no tester covers more."""
+    g = traps.g
     props = (1 << len(g.ap)) - 1
     for bit in _bits(props & ~g.labels[g.initial]):
-        if g.initial in _trap(g, arena, _labeled_within(g, props & ~bit)):
+        if traps(props & ~bit) >> g.initial & 1:
             props &= ~bit
-    return cover_of(g, _confined(g, arena, props)).bit_count()
+    return cover_of(g, _confined(traps, props)).bit_count()
 
 
 def _inside(succ, vs: set[int]) -> list[list[int]]:
@@ -604,6 +744,6 @@ def min_safety_value(
     set whose trap holds it. On controllably recurrent games this equals
     the minimal end-component cover."""
     require_valid(g)
-    arena = _arena(g)
-    vs = _cheapest(g, lambda props: _confined(g, arena, props), ap_cap)
+    traps = _Traps(g)
+    vs = _cheapest(g, lambda props: _confined(traps, props), ap_cap)
     return cover_of(g, vs).bit_count(), tuple(sorted(vs))

@@ -11,6 +11,7 @@ relabels a digraph with one proposition per vertex.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .errors import EmptyEdgeSetError, FormatError
@@ -113,32 +114,35 @@ def _normalize(prefix, clauses) -> _Normalized:
     Existential variables take the helpful polarity: their clauses are
     removed and counted as satisfied. Universal variables take the
     hostile polarity: their literals are struck, and a clause struck
-    empty falsifies the whole formula. Scanning is left to right, so the
-    result is deterministic.
+    empty falsifies the whole formula. Each round eliminates the first
+    one-sided variable in prefix order, so the result is deterministic.
+
+    Occurrence counts only fall, so a one-sided variable stays one: a
+    heap of prefix positions yields each round's pick, and the whole
+    elimination is linear in the formula up to the heap's log factor.
     """
     live = {i: list(cl) for i, cl in enumerate(clauses, 1)}
-    order = list(prefix)
+    at = {var: k for k, (_, var) in enumerate(prefix)}
+    occurs: dict[int, list[int]] = {}  # literal -> clause indices, one per occurrence
+    for idx, lits in live.items():
+        for lit in lits:
+            if abs(lit) in at:
+                occurs.setdefault(lit, []).append(idx)
+    count = {lit: len(ids) for lit, ids in occurs.items()}
+    ready = [k for k, (_, var) in enumerate(prefix) if not count.get(var) or not count.get(-var)]
+    heapq.heapify(ready)
+    gone: set[int] = set()
     satisfied: list[int] = []
     forced: dict[int, bool] = {}
     contradiction = False
-    while not contradiction:
-        pos: dict[int, list[int]] = {var: [] for _, var in order}
-        neg: dict[int, list[int]] = {var: [] for _, var in order}
-        for idx, lits in live.items():
-            for lit in lits:
-                side = pos if lit > 0 else neg
-                if abs(lit) in side:
-                    side[abs(lit)].append(idx)
-        pick = None
-        for q, var in order:
-            if not pos[var] or not neg[var]:
-                pick = (q, var)
-                break
-        if pick is None:
-            break
-        q, var = pick
-        order.remove(pick)
-        posx, negx = sorted(set(pos[var])), sorted(set(neg[var]))
+    while ready and not contradiction:
+        k = heapq.heappop(ready)
+        if k in gone:
+            continue
+        gone.add(k)
+        q, var = prefix[k]
+        posx = sorted({i for i in occurs.get(var, ()) if i in live})
+        negx = sorted({i for i in occurs.get(-var, ()) if i in live})
         if not posx and not negx:
             forced[var] = True  # vacuous either way
             continue
@@ -146,7 +150,11 @@ def _normalize(prefix, clauses) -> _Normalized:
             value = bool(posx)  # pick the polarity that satisfies something
             forced[var] = value
             for idx in posx if value else negx:
-                del live[idx]
+                for lit in live.pop(idx):
+                    if abs(lit) in at and at[abs(lit)] not in gone:
+                        count[lit] -= 1
+                        if not count[lit]:
+                            heapq.heappush(ready, at[abs(lit)])
                 satisfied.append(idx)
         else:
             value = not posx  # the adversary satisfies nothing
@@ -156,6 +164,7 @@ def _normalize(prefix, clauses) -> _Normalized:
                 live[idx] = [lit for lit in live[idx] if lit != struck]
                 if not live[idx]:
                     contradiction = True
+    order = [entry for k, entry in enumerate(prefix) if k not in gone]
     return _Normalized(order, live, sorted(satisfied), forced, contradiction)
 
 
@@ -176,11 +185,13 @@ def _chain_model(norm: _Normalized, total_clauses: int, game: bool):
         initial = "x_end"
         return _assemble(ap, vertices, edges, initial, game)
 
-    occurrences: dict[int, tuple[list[int], list[int]]] = {}
-    for _, var in norm.order:
-        true_side = sorted({i for i, lits in norm.live.items() if var in lits})
-        false_side = sorted({i for i, lits in norm.live.items() if -var in lits})
-        occurrences[var] = (true_side, false_side)
+    sides: dict[int, set[int]] = {}  # literal -> clauses holding it
+    for i, lits in norm.live.items():
+        for lit in lits:
+            sides.setdefault(lit, set()).add(i)
+    occurrences = {
+        var: (sorted(sides.get(var, ())), sorted(sides.get(-var, ()))) for _, var in norm.order
+    }
 
     vertices: list[tuple[str, tuple[str, ...], int]] = []
     edges: list[tuple[str, str]] = []

@@ -236,6 +236,46 @@ class TestGadget:
         assert json.loads(proc.stdout)["value"] == 3
 
 
+class TestClosedPipe:
+    """A reader that stops early (`covgame ... | head`) must not make the
+    CLI print a traceback; each command still returns its own code."""
+
+    N = 6000  # enough output to overflow any pipe buffer
+
+    def run_closed(self, argv, code):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "covgame.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == code, err
+        assert "Traceback" not in err and "BrokenPipe" not in err, err
+
+    def test_every_writer(self, tmp_path):
+        names = [f"v{i}" for i in range(self.N)]
+        cycle = LabeledGraph.make(
+            ["p"], [(v, ["p"] if v == names[-1] else []) for v in names],
+            zip(names, names[1:] + names[:1]), names[0],
+        )
+        graph = write_model(tmp_path, cycle, "cycle.cov")
+        system = write_model(tmp_path, SystemAutomaton.make(
+            ["p"], names, ["a"], zip(names, ["a"] * self.N, names[1:] + names[:1]),
+            names[0], {names[-1]: ["p"]},
+        ), "system.cov")
+        k = 300  # the gadget's output grows with |AP| = clauses + 1 per vertex
+        cnf = write(tmp_path, f"p cnf {k} {k}\n" + "".join(
+            f"{i} -{i % k + 1} 0\n" for i in range(1, k + 1)), "big.cnf")
+        self.run_closed(["solve", graph, "--value", "--json"], 0)
+        self.run_closed(["solve", graph, "--value"], 0)
+        self.run_closed(["export-dot", graph], 0)
+        self.run_closed(["compile", system], 0)
+        self.run_closed(["gadget", "sat", cnf], 0)
+
+
 class TestCertify:
     def test_path_witness_from_solve_output(self, capsys, tmp_path, triangle_file):
         _, out = run_cli(capsys, "solve", triangle_file, "--m", "3", "--json")

@@ -78,7 +78,7 @@ class TestSafetyBound:
     def test_no_product_above_the_bound(self, monkeypatch):
         rng = random.Random(23)
         games = [random_game(rng, 8, 4) for _ in range(200)]
-        bounds = [game_cover._safety_bound(g, game_cover._arena(g)) for g in games]
+        bounds = [game_cover._safety_bound(game_cover._Traps(g)) for g in games]
         refuse_product(monkeypatch)
         for g, ub in zip(games, bounds):
             for m in range(ub + 1, len(g.ap) + 1):
@@ -96,7 +96,7 @@ class TestSafetyBound:
         rng = random.Random(29)
         for g in (random_game(rng, 8, 4) for _ in range(200)):
             built.clear()
-            ub = game_cover._safety_bound(g, game_cover._arena(g))
+            ub = game_cover._safety_bound(game_cover._Traps(g))
             value = coverage_value_game(g).value
             assert value <= ub
             for prod in built:

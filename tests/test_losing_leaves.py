@@ -1,0 +1,130 @@
+"""Losing leaves: a game decision at m stops at states (v, b) from which
+the system can confine the play to m - 1 propositions. These tests hold
+the pruned solvers to an unpruned product, to the brute-force oracle
+and to an independent confinement check."""
+
+import itertools
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from covgame import (
+    PLAYER1,
+    LabeledGameGraph,
+    coverage_value_game,
+    max_coverage_game,
+    oracle,
+    strategy_covers,
+)
+from covgame import game_cover
+from covgame.game_cover import _attractor, _Product, _Traps
+from genmodels import random_game, random_recurrent_game, wide_games
+
+seeds = given(st.integers(min_value=0, max_value=2**32 - 1))
+examples = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def unpruned_decision(g, m) -> bool:
+    """The decision at m on the full product: only the states covering
+    >= m are leaves, and they are the attractor's seeds."""
+    prod = _Product(g, m)
+    seeds = [i for i, b in enumerate(prod.cov) if b.bit_count() >= m]
+    entered, _ = _attractor(prod.pending, prod.pred, prod.player1, [(m, seeds)], 0)
+    return entered[0] is not None
+
+
+def check_against_references(g):
+    ans = coverage_value_game(g)
+    assert strategy_covers(g, ans.strategy, ans.value)
+    for m in range(len(g.ap) + 1):
+        decision = max_coverage_game(g, m)
+        assert decision.decision == unpruned_decision(g, m) == oracle.brute_force_game(g, m)
+        assert decision.decision == (m <= ans.value)
+        if decision.decision:
+            assert strategy_covers(g, decision.strategy, m)
+
+
+@examples
+@seeds
+def test_random_games_match_unpruned_and_oracle(seed):
+    check_against_references(random_game(random.Random(seed), 6, 4))
+
+
+@examples
+@seeds
+def test_recurrent_games_match_unpruned_and_oracle(seed):
+    check_against_references(random_recurrent_game(random.Random(seed), 7, 4))
+
+
+def confined_within(g, props: int) -> set[int]:
+    """Independent greatest fixpoint: the vertices labeled within `props`
+    from which the system keeps the play among them forever."""
+    keep = {v for v in range(g.n) if g.labels[v] & ~props == 0}
+    while True:
+        drop = {
+            v for v in keep
+            if (any if g.owner[v] == PLAYER1 else all)(u not in keep for u in g.succ[v])
+        }
+        if not drop:
+            return keep
+        keep -= drop
+
+
+@examples
+@seeds
+def test_losing_leaves_are_confined_below_m(seed):
+    g = random_game(random.Random(seed), 8, 4)
+    full = (1 << len(g.ap)) - 1
+    for m in range(1, len(g.ap) + 1):
+        traps = _Traps(g)
+        for b in range(full + 1):
+            if b.bit_count() >= m:
+                continue
+            leaves = traps.confined(b, m)
+            supersets = [
+                b | sum(extra)
+                for size in range(m - b.bit_count())
+                for extra in itertools.combinations(game_cover._bits(full & ~b), size)
+            ]
+            for v in leaves:
+                # some P ⊇ b with |P| < m holds v in a trap of its own
+                assert any(v in confined_within(g, p) for p in supersets), (b, m, v)
+
+
+def side_trap_cycle(k: int = 30):
+    """The tester's cycle v0 -> c0 -> ... -> c_{k-1} -> v0, one proposition
+    per c_i, where each c_i may also step to a system vertex s_i with
+    c_i's label and a self-loop: every co-singleton trap holds some s_i,
+    so the walks have every proposition to drop."""
+    ap = [f"p{i}" for i in range(k)]
+    cs, ss = [f"c{i}" for i in range(k)], [f"s{i}" for i in range(k)]
+    return LabeledGameGraph.make_game(
+        ap,
+        [("v0", [], 1)] + [(c, [p], 1) for c, p in zip(cs, ap)] + [(s, [p], 2) for s, p in zip(ss, ap)],
+        list(zip(["v0"] + cs, cs + ["v0"])) + list(zip(cs, ss)) + [(s, s) for s in ss],
+        "v0",
+    )
+
+
+def test_wide_games_bound_their_trap_passes(monkeypatch):
+    made = []
+
+    class Recorded(_Traps):
+        def __init__(self, g):
+            super().__init__(g)
+            made.append(self)
+
+    monkeypatch.setattr(game_cover, "_Traps", Recorded)
+    games = dict(wide_games(30, 30), side_traps=side_trap_cycle(30))
+    for name, g in games.items():
+        made.clear()
+        ans = max_coverage_game(g, 15)
+        assert ans.decision == (name != "star")
+        assert not ans.decision or strategy_covers(g, ans.strategy, 15)
+        (traps,) = made
+        k = len(g.ap)
+        # the safety bound and the live test take up to 2 |AP| + 1 passes;
+        # the walks pay |V| per fresh pass out of (|AP| + met) * |V|, and
+        # the step that crosses the credit may add one row of |AP| passes
+        assert traps.spent <= (k + traps.met) * g.n + k * (g.n + 1), name
+        assert traps.passes <= 2 * k + 1 + (k + traps.met) + k, (name, traps.passes)

@@ -17,7 +17,7 @@ from covgame import (
     oracle,
     strategy_covers,
 )
-from covgame.game_cover import _arena, _confined, _safety_bound
+from covgame.game_cover import _Traps, _confined, _safety_bound
 from covgame.graph_cover import _reach_labels
 from covgame.model import _reachable
 from genmodels import random_game, random_graph
@@ -86,7 +86,7 @@ def oracle_value(g):
 @seeds
 def test_safety_bound_caps_the_value(seed):
     g = random_game(random.Random(seed), 6, 3)
-    ub = _safety_bound(g, _arena(g))
+    ub = _safety_bound(_Traps(g))
     assert oracle_value(g) <= ub
     # greedy, so never below the cheapest confining set
     assert min_safety_value(g)[0] <= ub <= len(g.ap)
@@ -96,9 +96,9 @@ def test_safety_bound_caps_the_value(seed):
 @seeds
 def test_confined_sets_confine_the_play(seed):
     g = random_game(random.Random(seed), 6, 3)
-    arena = _arena(g)
+    traps = _Traps(g)
     for props in range(1 << len(g.ap)):
-        vs = _confined(g, arena, props)
+        vs = _confined(traps, props)
         if vs is None:
             continue
         assert g.initial in vs
