@@ -481,21 +481,8 @@ def _arena(g: LabeledGraph):
 def _trap(g: LabeledGameGraph, arena, allowed: set[int]) -> set[int]:
     """Vertices of `allowed` from which the system keeps the play inside
     it forever: the complement of the player-1 attractor of the rest.
-    `arena` is built once per query. Under a third of V, the kernel runs
-    on `allowed` plus one node standing for the rest, in time linear in
-    `allowed` and its out-edges; otherwise on the whole arena, whose
-    degrees are copied per call."""
+    `arena` is built once per query; its degrees are copied per call."""
     degree, pred, player1 = arena
-    if 3 * len(allowed) < g.n:
-        local = {v: i for i, v in enumerate(allowed)}
-        rest = len(local)
-        into: list[list[int]] = [[] for _ in range(rest + 1)]
-        for v, i in local.items():
-            for u in g.succ[v]:
-                into[local.get(u, rest)].append(i)
-        pending = [degree[v] for v in local] + [0]
-        entered, _ = _attractor(pending, into, [player1[v] for v in local] + [True], [(0, [rest])], rest)
-        return {v for v, i in local.items() if entered[i] is None}
     outside = [v for v in range(g.n) if v not in allowed]
     entered, _ = _attractor(list(degree), pred, player1, [(0, outside)], g.initial)
     return {v for v in allowed if entered[v] is None}
@@ -503,34 +490,25 @@ def _trap(g: LabeledGameGraph, arena, allowed: set[int]) -> set[int]:
 
 class _Traps:
     """Trap(P), the trap among the vertices labeled within proposition
-    set P, memoized for one query as a vertex mask (`memo`) and a set
-    (`sets`). Propositions on no vertex leave that vertex set unchanged,
-    so the key drops them. `passes` counts the traps computed, `spent`
-    the work of the losing-leaf walks and `met` the losing leaves the
-    products of the query have met."""
+    set P, memoized for one query. Propositions on no vertex leave that
+    vertex set unchanged, so the key drops them. `passes` counts the
+    traps computed, `spent` the work of the losing-leaf walks and `met`
+    the losing leaves the products of the query have met."""
 
     def __init__(self, g: LabeledGameGraph):
-        self.g, self.arena, self.memo, self.sets = g, _arena(g), {}, {}
+        self.g, self.arena, self.memo = g, _arena(g), {}
         self.used = 0
         for b in g.labels:
             self.used |= b
-        self.live: list[tuple[int, int]] | None = None
+        self.live: list[tuple[int, set[int]]] | None = None
         self.passes = self.spent = self.met = 0
 
-    def __call__(self, props: int, within: int = -1) -> int:
-        """Trap(P) as a vertex mask; `within` is a mask known to hold it
-        (-1, every vertex, when none is known)."""
+    def __call__(self, props: int) -> set[int]:
         key = props & self.used
         trap = self.memo.get(key)
         if trap is None:
             self.passes += 1
-            if within == -1:
-                allowed = _labeled_within(self.g, key)
-            else:
-                labels, bits = self.g.labels, bin(within)[:1:-1]
-                allowed = {v for v, bit in enumerate(bits) if bit == "1" and labels[v] & ~key == 0}
-            vs = self.sets[key] = _trap(self.g, self.arena, allowed)
-            trap = self.memo[key] = sum(1 << v for v in vs)
+            trap = self.memo[key] = _trap(self.g, self.arena, _labeled_within(self.g, key))
         return trap
 
     def confined(self, b: int, m: int) -> Iterable[int]:
@@ -543,10 +521,12 @@ class _Traps:
         not empty, are worth dropping. A depth-first walk from P = used
         drops live propositions outside b, bounds each set's trap by the
         traps of the sets above it, and skips a set whose bound adds
-        nothing. Each set looked at costs 1 and each fresh pass |V|; the
-        walks of a query stop once they have spent (|AP| + met) * |V|,
-        so the losing leaves met pay for more. A partial union prunes
-        less but stays exact."""
+        nothing to the union. Each set looked at costs 1, though its
+        intersection and subset test scan up to its parent's bound, and
+        each fresh pass, linear in the arena, |V|; the walks of a query
+        stop once they have spent (|AP| + met) * |V|, so the losing
+        leaves met pay for more. A partial union prunes less but stays
+        exact."""
         n, memo, used = self.g.n, self.memo, self.used
         drop = (used | b).bit_count() - (m - 1)
         if drop <= 0:
@@ -559,29 +539,30 @@ class _Traps:
         free = [(p, top) for p, top in self.live if not b & p]
         if len(free) < drop:
             return ()
-        out, union = 0, set()
-        stack = [(used, 0, -1, drop)]
+        union: set[int] = set()
+        stack: list[tuple[int, int, set[int] | None, int]] = [(used, 0, None, drop)]
         while stack and self.spent <= credit:
             props, start, within, left = stack.pop()
-            last = len(free) - left
-            self.spent += last + 1 - start
-            for j in range(start, last + 1):
+            for j in range(start, len(free) - left + 1):
                 p, top = free[j]
                 child = props & ~p
-                bound = within & top
                 trap = memo.get(child)
                 if trap is not None:
-                    bound &= trap
-                if not bound & ~out:
+                    bound = trap
+                elif within is None:
+                    bound = top
+                else:
+                    bound = within & top
+                self.spent += 1
+                if bound <= union:
                     continue
                 if left > 1:
                     stack.append((child, j + 1, bound, left - 1))
                     continue
                 if trap is None:
-                    trap = self(child, bound)
                     self.spent += n
-                out |= trap
-                union |= self.sets[child]
+                    trap = self(child)
+                union |= trap
         return union
 
 
@@ -589,9 +570,8 @@ def _confined(traps: _Traps, props: int) -> set[int] | None:
     """The part of the trap among the vertices labeled within `props`
     that the initial vertex reaches inside it; None if it is outside."""
     g = traps.g
-    if not traps(props) >> g.initial & 1:
-        return None
-    return _reachable(_inside(g.succ, traps.sets[props & traps.used]), g.initial)
+    trap = traps(props)
+    return _reachable(_inside(g.succ, trap), g.initial) if g.initial in trap else None
 
 
 def _safety_bound(traps: _Traps) -> int:
@@ -602,7 +582,7 @@ def _safety_bound(traps: _Traps) -> int:
     g = traps.g
     props = (1 << len(g.ap)) - 1
     for bit in _bits(props & ~g.labels[g.initial]):
-        if traps(props & ~bit) >> g.initial & 1:
+        if g.initial in traps(props & ~bit):
             props &= ~bit
     return cover_of(g, _confined(traps, props)).bit_count()
 

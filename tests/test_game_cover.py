@@ -1,6 +1,7 @@
 """Game solvers: attractor reachability, bounded minimax, recurrence,
 end components, and minimal safety."""
 
+import gc
 import random
 import sys
 import time
@@ -9,6 +10,7 @@ import pytest
 
 from covgame import (
     ApCapExceededError,
+    PLAYER2,
     LabeledGameGraph,
     NotRecurrentError,
     bounded_coverage_game,
@@ -74,6 +76,17 @@ def refuse_product(monkeypatch):
     monkeypatch.setattr(game_cover, "_Product", refuse)
 
 
+def dodging_ring(n: int) -> LabeledGameGraph:
+    """n system vertices on a ring (n even), each stepping one or two
+    ahead. Even vertices carry p0..p3 in turn and odd ones nothing, so
+    the system can dodge any set of propositions on the odd cycle: every
+    trap holds all odd vertices, and the safety bound is 0."""
+    ap = ("p0", "p1", "p2", "p3")
+    succ = tuple(tuple(sorted(((v + 1) % n, (v + 2) % n))) for v in range(n))
+    labels = tuple(0 if v % 2 else 1 << (v // 2 % 4) for v in range(n))
+    return LabeledGameGraph(ap, tuple(f"v{v}" for v in range(n)), succ, labels, 1, (PLAYER2,) * n)
+
+
 class TestSafetyBound:
     def test_no_product_above_the_bound(self, monkeypatch):
         rng = random.Random(23)
@@ -102,6 +115,28 @@ class TestSafetyBound:
             for prod in built:
                 # only states covering fewer than ub propositions are expanded
                 assert all(prod.cov[i].bit_count() < ub for row in prod.pred for i in row)
+
+    def test_bound_costs_its_trap_passes_on_large_games(self):
+        # |AP| + 1 trap passes on a 100,000-vertex ring whose traps keep
+        # most of V; the work around the passes is linear as well, so the
+        # bound reads about 9 passes, where work quadratic in a trap, such
+        # as building its vertex mask with sum(1 << v ...), reads about 30
+        g = dodging_ring(100_000)
+        arena = game_cover._arena(g)
+        allowed = game_cover._labeled_within(g, 0b1110)
+        passes, bounds = [], []
+        gc.disable()  # a full collection costs the heap, not the work
+        try:
+            for _ in range(5):  # CPU time: other processes do not count
+                start = time.process_time()
+                game_cover._trap(g, arena, allowed)
+                passes.append(time.process_time() - start)
+                start = time.process_time()
+                assert game_cover._safety_bound(game_cover._Traps(g)) == 0
+                bounds.append(time.process_time() - start)
+        finally:
+            gc.enable()
+        assert min(bounds) < 3 * (len(g.ap) + 1) * min(passes)
 
     def test_zero_value_game_needs_no_product(self, monkeypatch):
         g = sparse_random_game(0)

@@ -1,7 +1,7 @@
 """Gadget generators cross-validated against the brute-force oracles."""
 
 import random
-import time
+import sys
 
 import pytest
 
@@ -28,6 +28,7 @@ from covgame import (
     validate,
     vc_to_game,
 )
+from covgame import reductions
 from covgame.reductions import _Normalized, _normalize
 from genmodels import random_cnf, random_digraph, random_qbf, random_undirected
 
@@ -184,10 +185,35 @@ class TestNormalization:
         assert norm == rescan_normalize(prefix, clauses)
 
     def test_unused_variables_are_linear(self):
-        t0 = time.perf_counter()
+        # rescanning the prefix after each elimination would run about
+        # n^2 / 2 lines; the linear elimination runs about 15 per variable
+        n = 3000
+        norm, lines = lines_run(_normalize, [("e", var) for var in range(1, n + 1)], ((1,),))
+        assert norm.satisfied == [1] and norm.forced[n] is True
+        assert lines < 40 * n
         res = sat_to_graph(parse_dimacs("p cnf 20000 1\n1 0\n"))
-        assert time.perf_counter() - t0 < 5
         assert res.metadata["eliminated"]["x20000"] is True
+
+
+def lines_run(fn, *args):
+    """fn(*args) and the number of lines run in covgame.reductions
+    meanwhile: a count of the work that does not depend on the machine."""
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    def enter(frame, event, arg):
+        return local if frame.f_code.co_filename == reductions.__file__ else None
+
+    sys.settrace(enter)
+    try:
+        out = fn(*args)
+    finally:
+        sys.settrace(None)
+    return out, lines
 
 
 class TestQbfGadget:
