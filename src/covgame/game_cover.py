@@ -12,9 +12,9 @@ product. In a decision at m, states covering >= m are winning leaves,
 seeded into the attractor and never expanded, and a state (v, b) is a
 losing leaf when v lies in Trap(P), the trap among the vertices labeled
 within some P ⊇ b with |P| = m - 1 (`_Traps`). Trap passes are memoized
-per query, shared with the bound, and charged against the losing leaves
-met. The value is the first YES among the decisions at t = ub, ub - 1,
-..., |L(v_in)| + 1.
+per query and shared with the bound; a decision whose candidate sets P
+number more than |AP|^3 finds no losing leaves. The value is the first
+YES among the decisions at t = ub, ub - 1, ..., |L(v_in)| + 1.
 
 Bounded coverage runs the same attractor on the product layered by
 depth up to the step budget; on that acyclic game the entry level of
@@ -34,6 +34,7 @@ tester owns entirely, so graph recurrence in graph_cover is this check.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -47,12 +48,12 @@ from .model import (
     PLAYER1,
     LabeledGameGraph,
     LabeledGraph,
+    _masker,
     _predecessors,
     _reachable,
     check_target,
     cover_of,
     mask_names,
-    names_mask,
     path_from_names,
     require_valid,
 )
@@ -102,7 +103,7 @@ class TesterStrategy:
         entries = obj.get("entries", [])
         if not isinstance(entries, list):
             raise FormatError("strategy entries must be a list")
-        moves = {}
+        moves, mask = {}, _masker(g.ap)
         for entry in entries:
             if not isinstance(entry, dict) or not all(f in entry for f in fields):
                 raise FormatError(f"strategy entry {entry!r} needs {', '.join(fields)}")
@@ -110,7 +111,7 @@ class TesterStrategy:
             if not isinstance(covered, list) or not all(isinstance(p, str) for p in covered):
                 raise FormatError("strategy entry: covered must be a list of names")
             v, pick = path_from_names(g, (entry["vertex"], entry["choose"]))
-            key = (v, names_mask(g.ap, covered))
+            key = (v, mask(covered))
             if budget is not None:
                 if not _is_int(entry["remaining"]):
                     raise FormatError("strategy entry: remaining must be an integer")
@@ -170,8 +171,8 @@ class _Product:
 
     One dict lookup per state finds the leaf vertices of its covered
     set b (see `_Leaves`): all of V when |b| >= `goal`, else those that
-    `traps` proves confined below the goal. A confined leaf never enters
-    the attractor, so it is a losing leaf; `traps.met` counts them.
+    `confined(b, goal)` proves confined below the goal. A confined leaf
+    never enters the attractor, so it is a losing leaf.
 
     With a depth `cap` the product is layered: each depth has its own
     key index, so a pair reached at two depths is two states, every edge
@@ -180,22 +181,20 @@ class _Product:
 
     __slots__ = ("vert", "cov", "pred", "pending", "player1", "layers", "cap")
 
-    def __init__(self, g: LabeledGameGraph, goal: int, cap: int | None = None, traps=None):
+    def __init__(self, g: LabeledGameGraph, goal: int, cap: int | None = None, confined=None):
         n, labels, succ = g.n, g.labels, g.succ
         v0 = g.initial
         vert, cov = [v0], [labels[v0]]
         index = {labels[v0] * n + v0: 0}
         pred: list[list[int]] = [[]]
         layers = [0, 1]
-        leaves = _Leaves(n, goal, traps)
+        leaves = _Leaves(n, goal, confined)
         while layers[-2] < layers[-1] and len(layers) - 2 != cap:
             if cap is not None:
                 index = {}  # layered: the next depth's states are all new
             for i, v in enumerate(vert[layers[-2]:], layers[-2]):
                 b = cov[i]
                 if v in leaves[b]:
-                    if b.bit_count() < goal:
-                        traps.met += 1
                     continue
                 for u in succ[v]:
                     c = b | labels[u]
@@ -225,20 +224,20 @@ class _Product:
 
 class _Leaves(dict):
     """Covered set b -> its leaf vertices, filled on first use: all of V
-    when |b| >= `goal`, otherwise `traps.confined(b, goal)`, or none
-    without `traps`."""
+    when |b| >= `goal`, otherwise `confined(b, goal)`, or none without
+    `confined`."""
 
-    def __init__(self, n: int, goal: int, traps):
+    def __init__(self, n: int, goal: int, confined):
         super().__init__()
-        self.n, self.goal, self.traps = n, goal, traps
+        self.n, self.goal, self.confined = n, goal, confined
 
     def __missing__(self, b: int) -> Iterable[int]:
         if b.bit_count() >= self.goal:
             leaf: Iterable[int] = range(self.n)
-        elif self.traps is None:
+        elif self.confined is None:
             leaf = ()
         else:
-            leaf = self.traps.confined(b, self.goal)
+            leaf = self.confined(b, self.goal)
         self[b] = leaf
         return leaf
 
@@ -279,14 +278,14 @@ def _attractor(pending, pred, player1, levels, stop):
     return entered, cause
 
 
-def _solve_product(g: LabeledGameGraph, floor: int, goal: int, cap: int | None = None, traps=None):
+def _solve_product(g: LabeledGameGraph, floor: int, goal: int, cap: int | None = None, confined=None):
     """Nested attractor of the goals {covered >= t}, t = |AP| down to
     `floor`, over the product whose states covering >= `goal` (or, with
     a depth cap, at depth `cap`) are leaves. The initial state's entry
     level is the coverage value, or None when the value is below
     `floor`; on a layered product it is the minimax value of the
     exploration tree cut at depth `cap`."""
-    prod = _Product(g, goal, cap, traps)
+    prod = _Product(g, goal, cap, confined)
     by_count: list[list[int]] = [[] for _ in range(len(g.ap) + 1)]
     for i, b in enumerate(prod.cov):
         by_count[b.bit_count()].append(i)
@@ -311,7 +310,7 @@ def _cause_strategy(prod: _Product, entered, cause, m: int) -> TesterStrategy:
 def _decide(traps: "_Traps", m: int, want_strategy: bool) -> GameAnswer:
     """The decision at m over the product whose states covering >= m
     are winning leaves and whose confined states are losing ones."""
-    prod, entered, cause = _solve_product(traps.g, m, m, None, traps)
+    prod, entered, cause = _solve_product(traps.g, m, m, None, traps.confined)
     if entered[0] is None:
         return GameAnswer(False)
     strategy = _cause_strategy(prod, entered, cause, m) if want_strategy else None
@@ -447,7 +446,7 @@ def strategy_covers(g: LabeledGameGraph, strategy: TesterStrategy, m: int) -> bo
 # recurrence and end components
 
 
-def is_controllably_recurrent_game(g: LabeledGameGraph) -> tuple[bool, int | None]:
+def is_controllably_recurrent_game(g: LabeledGraph) -> tuple[bool, int | None]:
     """Can the tester force a return to the initial vertex from every
     vertex reachable in the underlying graph? Returns the verdict and
     the smallest reachable vertex outside the return attractor. A plain
@@ -491,9 +490,7 @@ def _trap(g: LabeledGameGraph, arena, allowed: set[int]) -> set[int]:
 class _Traps:
     """Trap(P), the trap among the vertices labeled within proposition
     set P, memoized for one query. Propositions on no vertex leave that
-    vertex set unchanged, so the key drops them. `passes` counts the
-    traps computed, `spent` the work of the losing-leaf walks and `met`
-    the losing leaves the products of the query have met."""
+    vertex set unchanged, so the key drops them."""
 
     def __init__(self, g: LabeledGameGraph):
         self.g, self.arena, self.memo = g, _arena(g), {}
@@ -501,13 +498,11 @@ class _Traps:
         for b in g.labels:
             self.used |= b
         self.live: list[tuple[int, set[int]]] | None = None
-        self.passes = self.spent = self.met = 0
 
     def __call__(self, props: int) -> set[int]:
         key = props & self.used
         trap = self.memo.get(key)
         if trap is None:
-            self.passes += 1
             trap = self.memo[key] = _trap(self.g, self.arena, _labeled_within(self.g, key))
         return trap
 
@@ -516,32 +511,27 @@ class _Traps:
         has covered b below m: the union of Trap(P) over P ⊇ b with
         |P| = m - 1, unused propositions padding P.
 
-        Trap(P) lies within Trap(used - {p}) for each p outside P, so
-        only the `live` propositions, those whose co-singleton trap is
-        not empty, are worth dropping. A depth-first walk from P = used
+        Trap(P) lies within Trap(used - {p}) for each p outside P, so only
+        the `live` propositions, whose co-singleton trap is not empty, are
+        worth dropping, d = |used ∪ b| - (m - 1) of them; d is one number
+        per decision, as covered sets lie within `used`. When the
+        C(|live|, d) sets P exceed |AP|^3 the leaf set is empty, so the
+        walks of a decision take at most |AP|^3 fresh passes. Otherwise a depth-first walk from P = used
         drops live propositions outside b, bounds each set's trap by the
-        traps of the sets above it, and skips a set whose bound adds
-        nothing to the union. Each set looked at costs 1, though its
-        intersection and subset test scan up to its parent's bound, and
-        each fresh pass, linear in the arena, |V|; the walks of a query
-        stop once they have spent (|AP| + met) * |V|, so the losing
-        leaves met pay for more. A partial union prunes less but stays
-        exact."""
-        n, memo, used = self.g.n, self.memo, self.used
+        traps of the sets above it, skips a set whose bound adds nothing
+        to the union, and returns the whole union."""
+        memo, used = self.memo, self.used
         drop = (used | b).bit_count() - (m - 1)
         if drop <= 0:
-            return range(n)
-        credit = (len(self.g.ap) + self.met) * n
-        if self.spent > credit:
-            return ()
+            return range(self.g.n)
         if self.live is None:
             self.live = [(p, top) for p in _bits(used) if (top := self(used & ~p))]
-        free = [(p, top) for p, top in self.live if not b & p]
-        if len(free) < drop:
+        if math.comb(len(self.live), drop) > len(self.g.ap) ** 3:
             return ()
+        free = [(p, top) for p, top in self.live if not b & p]
         union: set[int] = set()
         stack: list[tuple[int, int, set[int] | None, int]] = [(used, 0, None, drop)]
-        while stack and self.spent <= credit:
+        while stack:
             props, start, within, left = stack.pop()
             for j in range(start, len(free) - left + 1):
                 p, top = free[j]
@@ -553,14 +543,12 @@ class _Traps:
                     bound = top
                 else:
                     bound = within & top
-                self.spent += 1
                 if bound <= union:
                     continue
                 if left > 1:
                     stack.append((child, j + 1, bound, left - 1))
                     continue
                 if trap is None:
-                    self.spent += n
                     trap = self(child)
                 union |= trap
         return union

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotRecurrentError
-from .game_cover import _return_check
+from .game_cover import _return_check, is_controllably_recurrent_game
 from .model import LabeledGraph, check_target, cover_of, require_valid
 
 
@@ -183,12 +183,8 @@ def coverage_value_graph(g: LabeledGraph, *, want_witness: bool = True) -> Graph
     return GraphAnswer(True, value=most, witness=witness)
 
 
-def is_controllably_recurrent_graph(g: LabeledGraph) -> tuple[bool, int | None]:
-    """Does every vertex reachable from the initial vertex admit a path
-    back to it? Returns the verdict and the smallest stray vertex id.
-    This is game recurrence on the game the tester owns entirely."""
-    stray = _return_check(g)[1]
-    return stray is None, stray
+# Graph recurrence is game recurrence on the game the tester owns entirely.
+is_controllably_recurrent_graph = is_controllably_recurrent_game
 
 
 def max_coverage_recurrent_graph(g: LabeledGraph) -> int:

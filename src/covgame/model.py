@@ -38,13 +38,23 @@ def mask_names(ap: Sequence[str], mask: int) -> tuple[str, ...]:
 
 def names_mask(ap: Sequence[str], props: Iterable[str]) -> int:
     """Bit mask for a collection of proposition names."""
-    index = {name: i for i, name in enumerate(ap)}
-    mask = 0
-    for name in props:
-        try:
-            mask |= 1 << index[name]
-        except KeyError:
-            raise FormatError(f"unknown proposition {name!r}") from None
+    return _masker(ap)(props)
+
+
+def _masker(ap: Sequence[str]):
+    """names_mask over `ap` with the name -> bit index built once, for
+    callers that mask one collection per vertex, state or entry."""
+    bit = {name: 1 << i for i, name in enumerate(ap)}
+
+    def mask(props: Iterable[str]) -> int:
+        out = 0
+        for name in props:
+            try:
+                out |= bit[name]
+            except KeyError:
+                raise FormatError(f"unknown proposition {name!r}") from None
+        return out
+
     return mask
 
 
@@ -189,7 +199,8 @@ class SystemAutomaton:
         for name in labels:
             if name not in state_id:
                 raise FormatError(f"label for unknown state {name!r}")
-        label_masks = tuple(names_mask(ap, labels.get(q, ())) for q in states)
+        mask = _masker(ap)
+        label_masks = tuple(mask(labels.get(q, ())) for q in states)
         return cls(
             tuple(ap),
             tuple(states),
@@ -246,7 +257,8 @@ def _name_id(index: dict[str, int], name, what: str) -> int:
 def _resolve_parts(ap, vertices, edges, initial):
     names = tuple(name for name, _ in vertices)
     vid = _index_names(names, "vertex")
-    labels = tuple(names_mask(ap, props) for _, props in vertices)
+    mask = _masker(ap)
+    labels = tuple(mask(props) for _, props in vertices)
     rows: list[set[int]] = [set() for _ in names]
     for src, dst in edges:
         rows[_name_id(vid, src, "edge endpoint")].add(_name_id(vid, dst, "edge endpoint"))

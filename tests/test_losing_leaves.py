@@ -4,6 +4,7 @@ the pruned solvers to an unpruned product, to the brute-force oracle
 and to an independent confinement check."""
 
 import itertools
+import math
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -81,14 +82,37 @@ def test_losing_leaves_are_confined_below_m(seed):
             if b.bit_count() >= m:
                 continue
             leaves = traps.confined(b, m)
-            supersets = [
-                b | sum(extra)
-                for size in range(m - b.bit_count())
-                for extra in itertools.combinations(game_cover._bits(full & ~b), size)
-            ]
+            supersets = subsets_between(b, full, m)
             for v in leaves:
                 # some P ⊇ b with |P| < m holds v in a trap of its own
                 assert any(v in confined_within(g, p) for p in supersets), (b, m, v)
+
+
+def subsets_between(b: int, full: int, below: int) -> list[int]:
+    """Every P with b ⊆ P ⊆ full and |P| < below."""
+    return [
+        b | sum(extra)
+        for size in range(below - b.bit_count())
+        for extra in itertools.combinations(game_cover._bits(full & ~b), size)
+    ]
+
+
+@examples
+@seeds
+def test_leaf_sets_are_complete(seed):
+    g = random_game(random.Random(seed), 8, 4)
+    full = (1 << len(g.ap)) - 1
+    for m in range(1, len(g.ap) + 1):
+        traps = _Traps(g)
+        for b in range(full + 1):
+            if b.bit_count() >= m:
+                continue
+            leaves = set(traps.confined(b, m))
+            drop = (traps.used | b).bit_count() - (m - 1)
+            if drop > 0 and math.comb(len(traps.live), drop) > len(g.ap) ** 3:
+                continue  # the size test turns the walk down
+            want = set().union(*(confined_within(g, p) for p in subsets_between(b, full, m)))
+            assert leaves == want, (b, m)
 
 
 def side_trap_cycle(k: int = 30):
@@ -107,24 +131,18 @@ def side_trap_cycle(k: int = 30):
 
 
 def test_wide_games_bound_their_trap_passes(monkeypatch):
-    made = []
-
-    class Recorded(_Traps):
-        def __init__(self, g):
-            super().__init__(g)
-            made.append(self)
-
-    monkeypatch.setattr(game_cover, "_Traps", Recorded)
+    passes = []
+    trap = game_cover._trap
+    monkeypatch.setattr(game_cover, "_trap", lambda *a: passes.append(a) or trap(*a))
     games = dict(wide_games(30, 30), side_traps=side_trap_cycle(30))
     for name, g in games.items():
-        made.clear()
-        ans = max_coverage_game(g, 15)
-        assert ans.decision == (name != "star")
-        assert not ans.decision or strategy_covers(g, ans.strategy, 15)
-        (traps,) = made
         k = len(g.ap)
-        # the safety bound and the live test take up to 2 |AP| + 1 passes;
-        # the walks pay |V| per fresh pass out of (|AP| + met) * |V|, and
-        # the step that crosses the credit may add one row of |AP| passes
-        assert traps.spent <= (k + traps.met) * g.n + k * (g.n + 1), name
-        assert traps.passes <= 2 * k + 1 + (k + traps.met) + k, (name, traps.passes)
+        for m in range(1, k + 1):
+            passes.clear()
+            ans = max_coverage_game(g, m)
+            # the safety bound takes up to |AP| + 1 passes, the live test
+            # |AP| and the walks at most |AP|^3, the size test's cap
+            assert len(passes) <= k**3 + 2 * k + 1, (name, m, len(passes))
+            if m == 15:
+                assert ans.decision == (name != "star")
+                assert not ans.decision or strategy_covers(g, ans.strategy, 15)

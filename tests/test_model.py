@@ -1,6 +1,7 @@
 """Model types, validation, compilation, and serialization."""
 
 import random
+import sys
 
 import pytest
 
@@ -11,6 +12,7 @@ from covgame import (
     LabeledGraph,
     NotDeterministicError,
     SystemAutomaton,
+    TesterStrategy,
     compile_system,
     cover_of,
     coverage_value_game,
@@ -223,3 +225,77 @@ class TestPatchSelfLoops:
         fixed, patched = patch_self_loops(sys)
         assert patched == ("q1",)
         assert validate(fixed).ok
+
+
+def _traced_lines(fn) -> int:
+    """The line events Python traces while fn() runs."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return tracer
+
+    before = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn()
+    finally:
+        sys.settrace(before)
+    return count
+
+
+def _ring_parts(k: int):
+    """k propositions and a ring of k vertices, vertex i labeled p_i."""
+    ap = [f"p{i}" for i in range(k)]
+    names = [f"v{i}" for i in range(k)]
+    return ap, names, list(zip(names, names[1:] + names[:1]))
+
+
+def _make_graph(k: int):
+    ap, names, edges = _ring_parts(k)
+    return lambda: LabeledGraph.make(ap, [(v, [p]) for v, p in zip(names, ap)], edges, "v0")
+
+
+def _make_game(k: int):
+    ap, names, edges = _ring_parts(k)
+    return lambda: LabeledGameGraph.make_game(
+        ap, [(v, [p], 1) for v, p in zip(names, ap)], edges, "v0"
+    )
+
+
+def _make_system(k: int):
+    ap, names, edges = _ring_parts(k)
+    return lambda: SystemAutomaton.make(
+        ap, names, ["a"], [(q, "a", r) for q, r in edges], "v0", {q: [p] for q, p in zip(names, ap)}
+    )
+
+
+def _read_strategy(k: int):
+    ap, names, edges = _ring_parts(k)
+    g = _make_game(k)()
+    obj = {
+        "kind": "strategy",
+        "entries": [{"vertex": q, "covered": [p], "choose": r} for (q, r), p in zip(edges, ap)],
+    }
+    return lambda: TesterStrategy.from_obj(g, obj)
+
+
+class TestPropositionIndex:
+    @pytest.mark.parametrize("build", [_make_graph, _make_game, _make_system, _read_strategy])
+    def test_names_resolve_in_constant_work_per_item(self, build):
+        # the name -> bit index is built once per call, so the work per
+        # item stays flat as items and propositions grow together; an
+        # index rebuilt per item costs about |AP| lines each
+        small, large = _traced_lines(build(1000)), _traced_lines(build(4000))
+        assert large / 4000 < 1.25 * small / 1000, (small, large)
+
+    def test_unknown_names_still_raise(self):
+        with pytest.raises(FormatError, match="unknown proposition 'q'"):
+            LabeledGraph.make(["p"], [("a", ["q"])], [("a", "a")], "a")
+        with pytest.raises(FormatError, match="unknown proposition 'q'"):
+            SystemAutomaton.make(["p"], ["s"], ["a"], [("s", "a", "s")], "s", {"s": ["q"]})
+        g = _make_game(2)()
+        obj = {"kind": "strategy", "entries": [{"vertex": "v0", "covered": ["q"], "choose": "v1"}]}
+        with pytest.raises(FormatError, match="unknown proposition 'q'"):
+            TesterStrategy.from_obj(g, obj)
