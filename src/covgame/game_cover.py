@@ -11,10 +11,16 @@ system can confine the play to, so a decision at m > ub is NO with no
 product. In a decision at m, states covering >= m are winning leaves,
 seeded into the attractor and never expanded, and a state (v, b) is a
 losing leaf when v lies in Trap(P), the trap among the vertices labeled
-within some P ⊇ b with |P| = m - 1 (`_Traps`). Trap passes are memoized
-per query and shared with the bound; a decision whose candidate sets P
-number more than |AP|^3 finds no losing leaves. The value is the first
-YES among the decisions at t = ub, ub - 1, ..., |L(v_in)| + 1.
+within some P ⊇ b with |P| = m - 1 (`_Traps`). The states covering
+m - 1 are leaves as well: one more proposition wins, so (v, b) is won
+exactly when v lies outside Trap(b), and the tester's moves there are
+the causes of the attractor pass that found Trap(b). A trap pass seeds
+its attractor with the vertices of the label classes outside P; passes
+are memoized per query and shared with the bound. A decision whose
+candidate sets P number more than |AP|^3 finds no losing leaves and
+expands the states covering m - 1, so it takes at most
+|AP|^3 + 2|AP| + 1 passes either way. The value is the first YES among
+the decisions at t = ub, ub - 1, ..., |L(v_in)| + 1.
 
 Bounded coverage runs the same attractor on the product layered by
 depth up to the step budget; on that acyclic game the entry level of
@@ -170,9 +176,10 @@ class _Product:
     The states of BFS depth d are layers[d] .. layers[d + 1] - 1.
 
     One dict lookup per state finds the leaf vertices of its covered
-    set b (see `_Leaves`): all of V when |b| >= `goal`, else those that
-    `confined(b, goal)` proves confined below the goal. A confined leaf
-    never enters the attractor, so it is a losing leaf.
+    set b (see `_Leaves`): all of V when |b| >= `settled`, else those
+    that `confined(b)` proves confined below the caller's goal. A leaf
+    enters the attractor only as a seed, so an unseeded leaf is a losing
+    one.
 
     With a depth `cap` the product is layered: each depth has its own
     key index, so a pair reached at two depths is two states, every edge
@@ -181,14 +188,14 @@ class _Product:
 
     __slots__ = ("vert", "cov", "pred", "pending", "player1", "layers", "cap")
 
-    def __init__(self, g: LabeledGameGraph, goal: int, cap: int | None = None, confined=None):
+    def __init__(self, g: LabeledGameGraph, settled: int, cap: int | None = None, confined=None):
         n, labels, succ = g.n, g.labels, g.succ
         v0 = g.initial
         vert, cov = [v0], [labels[v0]]
         index = {labels[v0] * n + v0: 0}
         pred: list[list[int]] = [[]]
         layers = [0, 1]
-        leaves = _Leaves(n, goal, confined)
+        leaves = _Leaves(n, settled, confined)
         while layers[-2] < layers[-1] and len(layers) - 2 != cap:
             if cap is not None:
                 index = {}  # layered: the next depth's states are all new
@@ -224,20 +231,20 @@ class _Product:
 
 class _Leaves(dict):
     """Covered set b -> its leaf vertices, filled on first use: all of V
-    when |b| >= `goal`, otherwise `confined(b, goal)`, or none without
+    when |b| >= `settled`, otherwise `confined(b)`, or none without
     `confined`."""
 
-    def __init__(self, n: int, goal: int, confined):
+    def __init__(self, n: int, settled: int, confined):
         super().__init__()
-        self.n, self.goal, self.confined = n, goal, confined
+        self.n, self.settled, self.confined = n, settled, confined
 
     def __missing__(self, b: int) -> Iterable[int]:
-        if b.bit_count() >= self.goal:
+        if b.bit_count() >= self.settled:
             leaf: Iterable[int] = range(self.n)
         elif self.confined is None:
             leaf = ()
         else:
-            leaf = self.confined(b, self.goal)
+            leaf = self.confined(b)
         self[b] = leaf
         return leaf
 
@@ -278,42 +285,49 @@ def _attractor(pending, pred, player1, levels, stop):
     return entered, cause
 
 
-def _solve_product(g: LabeledGameGraph, floor: int, goal: int, cap: int | None = None, confined=None):
-    """Nested attractor of the goals {covered >= t}, t = |AP| down to
-    `floor`, over the product whose states covering >= `goal` (or, with
-    a depth cap, at depth `cap`) are leaves. The initial state's entry
-    level is the coverage value, or None when the value is below
-    `floor`; on a layered product it is the minimax value of the
-    exploration tree cut at depth `cap`."""
-    prod = _Product(g, goal, cap, confined)
-    by_count: list[list[int]] = [[] for _ in range(len(g.ap) + 1)]
-    for i, b in enumerate(prod.cov):
-        by_count[b.bit_count()].append(i)
-    levels = ((t, by_count[t]) for t in range(len(g.ap), floor - 1, -1))
-    entered, cause = _attractor(prod.pending, prod.pred, prod.player1, levels, 0)
-    return prod, entered, cause
-
-
 def _cause_strategy(prod: _Product, entered, cause, m: int) -> TesterStrategy:
-    """The cause move of every attracted player-1 state covering < m,
-    keyed (v, b) or, on a layered product, (v, b, steps left)."""
-    vert, cov, player1, layers, cap = prod.vert, prod.cov, prod.player1, prod.layers, prod.cap
+    """The cause move of every player-1 state covering < m that entered
+    the attractor by propagation (seeds have no cause), keyed (v, b) or,
+    on a layered product, (v, b, steps left)."""
+    vert, cov, layers, cap = prod.vert, prod.cov, prod.layers, prod.cap
     moves = {}
     for d in range(len(layers) - 1):
         left = () if cap is None else (cap - d,)
         for i in range(layers[d], layers[d + 1]):
-            if entered[i] is not None and player1[i] and cov[i].bit_count() < m:
+            if cause[i] >= 0 and cov[i].bit_count() < m:
                 moves[(vert[i], cov[i]) + left] = vert[cause[i]]
     return TesterStrategy(moves, cap)
 
 
 def _decide(traps: "_Traps", m: int, want_strategy: bool) -> GameAnswer:
     """The decision at m over the product whose states covering >= m
-    are winning leaves and whose confined states are losing ones."""
-    prod, entered, cause = _solve_product(traps.g, m, m, None, traps.confined)
+    are winning leaves and whose confined states are losing ones. When
+    the decision's walks run, the states covering m - 1 are leaves as
+    well: one more proposition wins, so (v, b) is won exactly when v
+    lies outside Trap(b), and that trap's pass holds the tester's moves
+    from there."""
+    last = m - 1 if traps.walks(traps.used.bit_count() - (m - 1)) else m
+    prod = _Product(traps.g, last, None, lambda b: traps.confined(b, m))
+    vert = prod.vert
+    seeds: list[int] = []
+    layer: dict[int, list[int]] = {}  # covered set b with |b| = m - 1 -> its states
+    for i, b in enumerate(prod.cov):
+        c = b.bit_count()
+        if c >= m:
+            seeds.append(i)
+        elif c == last:
+            layer.setdefault(b, []).append(i)
+    for b, states in layer.items():
+        trap = traps.escape(b)[0]
+        seeds += [i for i in states if vert[i] not in trap]
+    entered, cause = _attractor(prod.pending, prod.pred, prod.player1, [(m, seeds)], 0)
     if entered[0] is None:
         return GameAnswer(False)
-    strategy = _cause_strategy(prod, entered, cause, m) if want_strategy else None
+    if not want_strategy:
+        return GameAnswer(True)
+    strategy = _cause_strategy(prod, entered, cause, m)
+    for b, states in layer.items():
+        strategy.moves.update(traps.escape_moves(b, [vert[i] for i in states if entered[i] is not None]))
     return GameAnswer(True, strategy=strategy)
 
 
@@ -374,8 +388,15 @@ def bounded_coverage_game(
     """
     _check_game(g, ap_cap)
     check_target(g, m, k)
-    cap = min(k, g.n * (len(g.ap) + 1))
-    prod, entered, cause = _solve_product(g, 0, len(g.ap), cap)
+    full = len(g.ap)
+    cap = min(k, g.n * (full + 1))
+    prod = _Product(g, full, cap)
+    by_count: list[list[int]] = [[] for _ in range(full + 1)]
+    for i, b in enumerate(prod.cov):
+        by_count[b.bit_count()].append(i)
+    # goals {covered >= t}, t = |AP| down to the root's entry level
+    levels = ((t, by_count[t]) for t in range(full, -1, -1))
+    entered, cause = _attractor(prod.pending, prod.pred, prod.player1, levels, 0)
     value = entered[0]
     if value < m:
         return GameAnswer(False, value=value)
@@ -477,34 +498,86 @@ def _arena(g: LabeledGraph):
     return [len(row) for row in g.succ], _predecessors(g.succ), player1
 
 
-def _trap(g: LabeledGameGraph, arena, allowed: set[int]) -> set[int]:
-    """Vertices of `allowed` from which the system keeps the play inside
-    it forever: the complement of the player-1 attractor of the rest.
-    `arena` is built once per query; its degrees are copied per call."""
+def _trap(g: LabeledGameGraph, arena, outside: list[int]) -> tuple[set[int], list[int]]:
+    """The vertices from which the system keeps the play off `outside`
+    forever, the complement of the player-1 attractor of `outside`, and
+    that attractor's causes. `arena` is built once per query; its
+    degrees are copied per call."""
     degree, pred, player1 = arena
-    outside = [v for v in range(g.n) if v not in allowed]
-    entered, _ = _attractor(list(degree), pred, player1, [(0, outside)], g.initial)
-    return {v for v in allowed if entered[v] is None}
+    entered, cause = _attractor(list(degree), pred, player1, [(0, outside)], g.initial)
+    return {v for v, level in enumerate(entered) if level is None}, cause
 
 
 class _Traps:
     """Trap(P), the trap among the vertices labeled within proposition
-    set P, memoized for one query. Propositions on no vertex leave that
-    vertex set unchanged, so the key drops them."""
+    set P, and the causes of its pass, memoized for one query. A pass
+    seeds its attractor with the vertex lists of the label classes
+    outside P. Propositions on no vertex leave that vertex set
+    unchanged, so the key drops them."""
 
     def __init__(self, g: LabeledGameGraph):
-        self.g, self.arena, self.memo = g, _arena(g), {}
+        self.g, self.arena, self.memo, self.causes = g, _arena(g), {}, {}
+        self.classes: dict[int, list[int]] = {}  # label -> its vertices
+        for v, b in enumerate(g.labels):
+            self.classes.setdefault(b, []).append(v)
         self.used = 0
-        for b in g.labels:
+        for b in self.classes:
             self.used |= b
         self.live: list[tuple[int, set[int]]] | None = None
+
+    def outside(self, props: int) -> list[int]:
+        """The vertices labeled outside `props`."""
+        return [v for b, vs in self.classes.items() if b & ~props for v in vs]
 
     def __call__(self, props: int) -> set[int]:
         key = props & self.used
         trap = self.memo.get(key)
         if trap is None:
-            trap = self.memo[key] = _trap(self.g, self.arena, _labeled_within(self.g, key))
+            trap, self.causes[key] = _trap(self.g, self.arena, self.outside(key))
+            self.memo[key] = trap
         return trap
+
+    def walks(self, drop: int) -> bool:
+        """Whether the walks that drop `drop` >= 1 `live` propositions
+        from `used` run: the C(|live|, drop) sets they range over number
+        at most |AP|^3. A proposition is live when the trap of `used`
+        without it is not empty; the live test takes |used| passes."""
+        if self.live is None:
+            self.live = [(p, top) for p in _bits(self.used) if (top := self(self.used & ~p))]
+        return math.comb(len(self.live), drop) <= len(self.g.ap) ** 3
+
+    def escape(self, b: int) -> tuple[set[int], list[int]]:
+        """Trap(b) and the causes of a pass that found it, for a covered
+        set b one proposition short of a decision's goal: b's own pass,
+        or, when b misses a proposition p that is not live, the live
+        test's pass of `used` - {p}, whose trap is empty as Trap(b) is.
+        So the passes made here are among the walks' sets."""
+        for p in _bits(self.used & ~b):
+            if not self(self.used & ~p):
+                b = self.used & ~p
+                break
+        trap = self(b)
+        return trap, self.causes[b & self.used]
+
+    def escape_moves(self, b: int, starts: list[int]) -> dict:
+        """Tester moves keyed (v, b) that take every play from `starts`,
+        vertices outside Trap(b), to a vertex labeled outside b: the
+        causes of `escape(b)`'s pass, from each vertex labeled within b
+        that they and the system reach first."""
+        labels, succ, player1 = self.g.labels, self.g.succ, self.arena[2]
+        cause = self.escape(b)[1]
+        moves, seen, todo = {}, set(starts), list(starts)
+        for v in todo:
+            if player1[v]:
+                moves[(v, b)] = cause[v]
+                nexts: Iterable[int] = (cause[v],)
+            else:
+                nexts = succ[v]
+            for u in nexts:
+                if not labels[u] & ~b and u not in seen:
+                    seen.add(u)
+                    todo.append(u)
+        return moves
 
     def confined(self, b: int, m: int) -> Iterable[int]:
         """Vertices from which the system keeps the cover of a play that
@@ -516,17 +589,16 @@ class _Traps:
         worth dropping, d = |used ∪ b| - (m - 1) of them; d is one number
         per decision, as covered sets lie within `used`. When the
         C(|live|, d) sets P exceed |AP|^3 the leaf set is empty, so the
-        walks of a decision take at most |AP|^3 fresh passes. Otherwise a depth-first walk from P = used
-        drops live propositions outside b, bounds each set's trap by the
-        traps of the sets above it, skips a set whose bound adds nothing
-        to the union, and returns the whole union."""
+        walks of a decision take at most |AP|^3 fresh passes. Otherwise
+        a depth-first walk from P = used drops live propositions outside
+        b, bounds each set's trap by the traps of the sets above it,
+        skips a set whose bound adds nothing to the union, and returns
+        the whole union."""
         memo, used = self.memo, self.used
         drop = (used | b).bit_count() - (m - 1)
         if drop <= 0:
             return range(self.g.n)
-        if self.live is None:
-            self.live = [(p, top) for p in _bits(used) if (top := self(used & ~p))]
-        if math.comb(len(self.live), drop) > len(self.g.ap) ** 3:
+        if not self.walks(drop):
             return ()
         free = [(p, top) for p, top in self.live if not b & p]
         union: set[int] = set()
@@ -580,19 +652,20 @@ def _inside(succ, vs: set[int]) -> list[list[int]]:
     return [[u for u in row if u in vs] if v in vs else [] for v, row in enumerate(succ)]
 
 
-def _end_component_within(g: LabeledGameGraph, arena, allowed: set[int]) -> set[int] | None:
-    """The maximal end component through the initial vertex inside
-    `allowed`, or None. Alternates the trap with the initial vertex's
+def _end_component_within(g: LabeledGameGraph, arena, outside: list[int]) -> set[int] | None:
+    """The maximal end component through the initial vertex that avoids
+    `outside`, or None. Alternates the trap with the initial vertex's
     strongly connected component in it until the trap is strongly
     connected (a trap is its own trap). Every end component through the
     initial vertex survives each round, and each further round removes
     a vertex."""
-    v0, vs = g.initial, allowed
-    while v0 in (trap := _trap(g, arena, vs)):
+    v0 = g.initial
+    while v0 in (trap := _trap(g, arena, outside)[0]):
         inside = _inside(g.succ, trap)
         vs = _reachable(inside, v0) & _reachable(_predecessors(inside), v0)
         if vs == trap:
             return vs
+        outside = [v for v in range(g.n) if v not in vs]
     return None
 
 
@@ -656,10 +729,6 @@ def _bits(mask: int) -> list[int]:
     return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _labeled_within(g: LabeledGameGraph, props: int) -> set[int]:
-    return {v for v, b in enumerate(g.labels) if b & ~props == 0}
-
-
 def _is_end_component(g: LabeledGameGraph, vs: set[int]) -> bool:
     """Strongly connected (an inside move everywhere, so singletons need
     a self-loop) and closed under every player-1 edge."""
@@ -693,9 +762,9 @@ def min_cover_end_component(
     raises NotRecurrentError after one pass. On controllably recurrent
     games the count equals the coverage value."""
     require_valid(g)
-    arena = _arena(g)
+    traps = _Traps(g)
     ec = _cheapest(
-        g, lambda props: _end_component_within(g, arena, _labeled_within(g, props)), ap_cap
+        g, lambda props: _end_component_within(g, traps.arena, traps.outside(props)), ap_cap
     )
     if ec is None:
         raise NotRecurrentError("no end component contains the initial vertex")

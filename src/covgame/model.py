@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -281,18 +282,32 @@ def validate(model: Model) -> ValidationReport:
 def _graph_violations(g: LabeledGraph):
     n = g.n
     nap = len(g.ap)
+    succ, labels = g.succ, g.labels
     if not 0 <= g.initial < n:
         yield Violation("bad-initial", str(g.initial))
-    for v in range(n):
-        if not g.succ[v]:
+    # every bound is checked at C speed first; the vertices are walked
+    # one by one only when some bound fails, to name each culprit
+    edges = [*chain.from_iterable(succ)]
+    rows_ok = (
+        len(succ) == len(labels) == n
+        and all(succ)
+        and 0 <= min(edges, default=0)
+        and max(edges, default=0) < n
+        and 0 <= min(labels, default=0)
+        and max(labels, default=0) >> nap == 0
+    )
+    for v in range(0 if rows_ok else n):
+        if not succ[v]:
             yield Violation("non-total", g.names[v])
-        for u in g.succ[v]:
+        for u in succ[v]:
             if not 0 <= u < n:
                 yield Violation("dangling-edge", f"{g.names[v]}->{u}")
-        if g.labels[v] >> nap:
+        if labels[v] >> nap:
             yield Violation("bad-label", g.names[v])
     if isinstance(g, LabeledGameGraph):
         owner = g.owner
+        if len(owner) == n and owner.count(PLAYER1) + owner.count(PLAYER2) == n:
+            return
         if len(owner) != n:
             for v in range(len(owner), n):
                 yield Violation("missing-owner", g.names[v])

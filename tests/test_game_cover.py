@@ -123,13 +123,13 @@ class TestSafetyBound:
         # as building its vertex mask with sum(1 << v ...), reads about 30
         g = dodging_ring(100_000)
         arena = game_cover._arena(g)
-        allowed = game_cover._labeled_within(g, 0b1110)
+        outside = game_cover._Traps(g).outside(0b1110)
         passes, bounds = [], []
         gc.disable()  # a full collection costs the heap, not the work
         try:
             for _ in range(5):  # CPU time: other processes do not count
                 start = time.process_time()
-                game_cover._trap(g, arena, allowed)
+                game_cover._trap(g, arena, outside)
                 passes.append(time.process_time() - start)
                 start = time.process_time()
                 assert game_cover._safety_bound(game_cover._Traps(g)) == 0
@@ -424,9 +424,9 @@ class TestEndComponents:
         # 30 propositions: walking every proposition set would take 2^30
         # passes; the two walks need about two per proposition
         tried = []
-        within = game_cover._labeled_within
+        outside = game_cover._Traps.outside
         monkeypatch.setattr(
-            game_cover, "_labeled_within", lambda g, props: tried.append(props) or within(g, props)
+            game_cover._Traps, "outside", lambda self, props: tried.append(props) or outside(self, props)
         )
         g = wide_games()[name]
         start = time.perf_counter()

@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from covgame import (
@@ -137,12 +138,82 @@ def test_wide_games_bound_their_trap_passes(monkeypatch):
     games = dict(wide_games(30, 30), side_traps=side_trap_cycle(30))
     for name, g in games.items():
         k = len(g.ap)
+        ub = game_cover._safety_bound(_Traps(g))
         for m in range(1, k + 1):
             passes.clear()
             ans = max_coverage_game(g, m)
             # the safety bound takes up to |AP| + 1 passes, the live test
             # |AP| and the walks at most |AP|^3, the size test's cap
             assert len(passes) <= k**3 + 2 * k + 1, (name, m, len(passes))
+            # every pass goes through _trap, so the count above is real
+            assert m > ub or passes, (name, m)
             if m == 15:
                 assert ans.decision == (name != "star")
                 assert not ans.decision or strategy_covers(g, ans.strategy, 15)
+
+
+def walks_run(g, m) -> bool:
+    """Whether a decision at m runs its walks, so that its states
+    covering m - 1 are leaves."""
+    traps = _Traps(g)
+    return traps.walks(traps.used.bit_count() - (m - 1))
+
+
+def record_products(monkeypatch) -> list:
+    built = []
+
+    class Recorded(_Product):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(game_cover, "_Product", Recorded)
+    return built
+
+
+def expanded(prod) -> set[int]:
+    """The cover sizes of the states the product expanded."""
+    return {prod.cov[i].bit_count() for row in prod.pred for i in row}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@seeds
+def test_exact_decisions_expand_nothing_past_m_minus_1(seed):
+    rng = random.Random(seed)
+    g = random_game(rng, 8, 4) if seed % 2 else random_recurrent_game(rng, 7, 4)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        built = record_products(monkeypatch)
+        for m in range(1, len(g.ap) + 1):
+            built.clear()
+            max_coverage_game(g, m)
+            for prod in built:
+                assert walks_run(g, m)  # these games are too narrow for the size test
+                assert all(c < m - 1 for c in expanded(prod)), (m, expanded(prod))
+
+
+def test_refused_walks_expand_the_m_minus_1_layer(monkeypatch):
+    # every proposition of the side-trap cycle is live, so from m = 5 to
+    # 27 the C(30, 31 - m) candidate sets exceed 30^3 and the walks are
+    # refused; the states covering m - 1 are then expanded as before
+    g = side_trap_cycle(30)
+    built = record_products(monkeypatch)
+    refused = [m for m in range(1, 31) if not walks_run(g, m)]
+    assert refused == list(range(5, 28))
+    for m in refused:
+        built.clear()
+        ans = max_coverage_game(g, m)
+        assert ans.decision == unpruned_decision(g, m)
+        assert [m - 1 in expanded(prod) for prod in built] == [True]
+
+
+def test_wide_strategies_cover_at_every_m():
+    # leaves at m - 1 start most plays here: their moves come from the
+    # traps' passes, and each play must still reach m
+    games = dict(wide_games(30, 30), side_traps=side_trap_cycle(30))
+    for name, g in games.items():
+        value = coverage_value_game(g)
+        assert strategy_covers(g, value.strategy, value.value), name
+        for m in range(len(g.ap) + 1):
+            ans = max_coverage_game(g, m)
+            assert ans.decision == (m <= value.value), (name, m)
+            assert not ans.decision or strategy_covers(g, ans.strategy, m), (name, m)
