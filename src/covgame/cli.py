@@ -222,7 +222,7 @@ def _cmd_bounded(args) -> int:
 
 def _cmd_recurrent(args) -> int:
     model, out = _load_playable(args)
-    reach, stray = _return_check(model)
+    reach, stray = _return_check(model, want_reach=not isinstance(model, LabeledGameGraph))
     recurrent = stray is None
     out["recurrent"] = recurrent
     out["counterexample"] = None if stray is None else model.names[stray]

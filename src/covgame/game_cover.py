@@ -33,8 +33,10 @@ trap) through the initial vertex; `_cheapest` searches P from both
 ends, in at most 2^(min(k, |AP|)+1) passes for k distinct label sets.
 
 Controllable recurrence is the tester's attractor of the initial vertex,
-one linear pass with no product. A plain LabeledGraph is the game the
-tester owns entirely, so graph recurrence in graph_cover is this check.
+one linear pass with no product; a forward sweep runs only when that
+attractor misses a vertex or the caller wants the reachable set. A plain
+LabeledGraph is the game the tester owns entirely, so graph recurrence
+in graph_cover is this check.
 """
 
 from __future__ import annotations
@@ -477,12 +479,16 @@ def is_controllably_recurrent_game(g: LabeledGraph) -> tuple[bool, int | None]:
     return stray is None, stray
 
 
-def _return_check(g: LabeledGraph) -> tuple[set[int], int | None]:
-    """The vertices reachable from the initial vertex, and the smallest
-    of them outside the tester's attractor of the initial vertex (None
-    when there is none). Linear in |V| + |E|."""
+def _return_check(g: LabeledGraph, want_reach: bool = False) -> tuple[list[int] | None, int | None]:
+    """The vertices reachable from the initial vertex in BFS order, and
+    the smallest of them outside the tester's attractor of the initial
+    vertex (None when there is none). Linear in |V| + |E|. A stray lies
+    outside the attractor, so the forward sweep runs only when some vertex
+    does, or when `want_reach` is set; otherwise reach is None."""
     require_valid(g)
     inside, _ = _attractor(*_arena(g), [(0, [g.initial])], g.initial)
+    if not want_reach and None not in inside:
+        return None, None
     reach = _reachable(g.succ, g.initial)
     return reach, min([v for v in reach if inside[v] is None], default=None)
 
@@ -631,7 +637,7 @@ def _confined(traps: _Traps, props: int) -> set[int] | None:
     that the initial vertex reaches inside it; None if it is outside."""
     g = traps.g
     trap = traps(props)
-    return _reachable(_inside(g.succ, trap), g.initial) if g.initial in trap else None
+    return set(_reachable(_inside(g.succ, trap), g.initial)) if g.initial in trap else None
 
 
 def _safety_bound(traps: _Traps) -> int:
@@ -662,7 +668,7 @@ def _end_component_within(g: LabeledGameGraph, arena, outside: list[int]) -> set
     v0 = g.initial
     while v0 in (trap := _trap(g, arena, outside)[0]):
         inside = _inside(g.succ, trap)
-        vs = _reachable(inside, v0) & _reachable(_predecessors(inside), v0)
+        vs = set(_reachable(inside, v0)).intersection(_reachable(_predecessors(inside), v0))
         if vs == trap:
             return vs
         outside = [v for v in range(g.n) if v not in vs]
@@ -731,13 +737,14 @@ def _bits(mask: int) -> list[int]:
 
 def _is_end_component(g: LabeledGameGraph, vs: set[int]) -> bool:
     """Strongly connected (an inside move everywhere, so singletons need
-    a self-loop) and closed under every player-1 edge."""
+    a self-loop) and closed under every player-1 edge. Both sweeps stay
+    inside vs and list each vertex once, so their sizes decide."""
     inside = _inside(g.succ, vs)
     for v in vs:
         if not inside[v] or (g.owner[v] == PLAYER1 and len(inside[v]) != len(g.succ[v])):
             return False
-    pivot = min(vs)
-    return _reachable(inside, pivot) == vs == _reachable(_predecessors(inside), pivot)
+    pivot, size = min(vs), len(vs)
+    return len(_reachable(inside, pivot)) == size == len(_reachable(_predecessors(inside), pivot))
 
 
 def verify_end_component_witness(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotRecurrentError
-from .game_cover import _return_check, is_controllably_recurrent_game
+from .game_cover import _return_check
 from .model import LabeledGraph, check_target, cover_of, require_valid
 
 
@@ -183,8 +183,11 @@ def coverage_value_graph(g: LabeledGraph, *, want_witness: bool = True) -> Graph
     return GraphAnswer(True, value=most, witness=witness)
 
 
-# Graph recurrence is game recurrence on the game the tester owns entirely.
-is_controllably_recurrent_graph = is_controllably_recurrent_game
+def is_controllably_recurrent_graph(g: LabeledGraph) -> tuple[bool, int | None]:
+    """The verdict, and the smallest reachable vertex with no path back to
+    the initial vertex: recurrence of the game the tester owns entirely."""
+    stray = _return_check(g)[1]
+    return stray is None, stray
 
 
 def max_coverage_recurrent_graph(g: LabeledGraph) -> int:
@@ -195,7 +198,7 @@ def max_coverage_recurrent_graph(g: LabeledGraph) -> int:
     whole reachable set and the value is just its label-union size.
     Otherwise NotRecurrentError names the smallest stray vertex.
     """
-    reach, stray = _return_check(g)
+    reach, stray = _return_check(g, want_reach=True)
     if stray is not None:
         raise NotRecurrentError(
             f"vertex {g.names[stray]!r} is reachable but cannot return to the initial vertex"

@@ -431,16 +431,17 @@ def path_check(g: LabeledGraph, path: Sequence[int]) -> bool:
     return all(u in g.succ[v] for v, u in zip(path, path[1:]))
 
 
-def _reachable(succ: Sequence[Sequence[int]], start: int) -> set[int]:
-    """Nodes reachable from `start` along `succ` rows, by BFS."""
-    seen = {start}
+def _reachable(succ: Sequence[Sequence[int]], start: int) -> list[int]:
+    """Nodes reachable from `start` along `succ` rows, once each, in BFS order."""
+    seen = [False] * len(succ)
+    seen[start] = True
     queue = [start]
     for v in queue:
         for u in succ[v]:
-            if u not in seen:
-                seen.add(u)
+            if not seen[u]:
+                seen[u] = True
                 queue.append(u)
-    return seen
+    return queue
 
 
 def _predecessors(succ: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -12,7 +12,6 @@ from covgame import (
     LabeledGraph,
     NotDeterministicError,
     SystemAutomaton,
-    TesterStrategy,
     compile_system,
     cover_of,
     coverage_value_game,
@@ -24,6 +23,7 @@ from covgame import (
     require_valid,
     validate,
 )
+from covgame import TesterStrategy as Strategy  # a Test* name would be collected
 from genmodels import random_game, random_graph, random_system
 
 
@@ -278,7 +278,7 @@ def _read_strategy(k: int):
         "kind": "strategy",
         "entries": [{"vertex": q, "covered": [p], "choose": r} for (q, r), p in zip(edges, ap)],
     }
-    return lambda: TesterStrategy.from_obj(g, obj)
+    return lambda: Strategy.from_obj(g, obj)
 
 
 class TestPropositionIndex:
@@ -298,4 +298,4 @@ class TestPropositionIndex:
         g = _make_game(2)()
         obj = {"kind": "strategy", "entries": [{"vertex": "v0", "covered": ["q"], "choose": "v1"}]}
         with pytest.raises(FormatError, match="unknown proposition 'q'"):
-            TesterStrategy.from_obj(g, obj)
+            Strategy.from_obj(g, obj)
