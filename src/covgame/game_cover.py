@@ -16,11 +16,12 @@ m - 1 are leaves as well: one more proposition wins, so (v, b) is won
 exactly when v lies outside Trap(b), and the tester's moves there are
 the causes of the attractor pass that found Trap(b). A trap pass seeds
 its attractor with the vertices of the label classes outside P; passes
-are memoized per query and shared with the bound. A decision whose
-candidate sets P number more than |AP|^3 finds no losing leaves and
-expands the states covering m - 1, so it takes at most
-|AP|^3 + 2|AP| + 1 passes either way. The value is the first YES among
-the decisions at t = ub, ub - 1, ..., |L(v_in)| + 1.
+are memoized per query and shared with the bound. A covered set whose
+candidate sets P number more than |AP|^3 gets no losing leaves. Past
+the bound's |AP| + 1 passes and the live test's |AP|, each pass drops
+d = |used| - (m - 1) live propositions from the used ones, so a decision
+takes at most C(|live|, d) + 2|AP| + 1 passes. The value is the first
+YES among the decisions at t = ub, ub - 1, ..., |L(v_in)| + 1.
 
 Bounded coverage runs the same attractor on the product layered by
 depth up to the step budget; on that acyclic game the entry level of
@@ -48,6 +49,7 @@ from typing import Iterable
 
 from .errors import (
     ApCapExceededError,
+    BudgetExceededError,
     FormatError,
     NotRecurrentError,
 )
@@ -303,13 +305,11 @@ def _cause_strategy(prod: _Product, entered, cause, m: int) -> TesterStrategy:
 
 def _decide(traps: "_Traps", m: int, want_strategy: bool) -> GameAnswer:
     """The decision at m over the product whose states covering >= m
-    are winning leaves and whose confined states are losing ones. When
-    the decision's walks run, the states covering m - 1 are leaves as
-    well: one more proposition wins, so (v, b) is won exactly when v
-    lies outside Trap(b), and that trap's pass holds the tester's moves
-    from there."""
-    last = m - 1 if traps.walks(traps.used.bit_count() - (m - 1)) else m
-    prod = _Product(traps.g, last, None, lambda b: traps.confined(b, m))
+    are winning leaves and whose confined states are losing ones. The
+    states covering m - 1 are leaves as well: one more proposition wins,
+    so (v, b) is won exactly when v lies outside Trap(b), and that
+    trap's pass holds the tester's moves from there."""
+    prod = _Product(traps.g, m - 1, None, lambda b: traps.confined(b, m))
     vert = prod.vert
     seeds: list[int] = []
     layer: dict[int, list[int]] = {}  # covered set b with |b| = m - 1 -> its states
@@ -317,7 +317,7 @@ def _decide(traps: "_Traps", m: int, want_strategy: bool) -> GameAnswer:
         c = b.bit_count()
         if c >= m:
             seeds.append(i)
-        elif c == last:
+        elif c == m - 1:
             layer.setdefault(b, []).append(i)
     for b, states in layer.items():
         trap = traps.escape(b)[0]
@@ -412,10 +412,15 @@ def strategy_covers(g: LabeledGameGraph, strategy: TesterStrategy, m: int) -> bo
 
     A play that revisits a (vertex, covered) pair before the goal would
     cycle below m forever, so any such cycle, a missing tester move, or
-    an exhausted step budget fails the check.
+    an exhausted step budget fails the check. A budget past the deepest
+    bounded search, |V| * (|AP| + 1), raises BudgetExceededError.
     """
     require_valid(g)
     check_target(g, m)
+    if strategy.budget is not None and strategy.budget > (deepest := g.n * (len(g.ap) + 1)):
+        raise BudgetExceededError(
+            f"strategy budget {strategy.budget} exceeds |V| * (|AP| + 1) = {deepest}"
+        )
     labels, succ, owner = g.labels, g.succ, g.owner
     start: tuple
     if strategy.budget is None:
@@ -543,21 +548,12 @@ class _Traps:
             self.memo[key] = trap
         return trap
 
-    def walks(self, drop: int) -> bool:
-        """Whether the walks that drop `drop` >= 1 `live` propositions
-        from `used` run: the C(|live|, drop) sets they range over number
-        at most |AP|^3. A proposition is live when the trap of `used`
-        without it is not empty; the live test takes |used| passes."""
-        if self.live is None:
-            self.live = [(p, top) for p in _bits(self.used) if (top := self(self.used & ~p))]
-        return math.comb(len(self.live), drop) <= len(self.g.ap) ** 3
-
     def escape(self, b: int) -> tuple[set[int], list[int]]:
         """Trap(b) and the causes of a pass that found it, for a covered
         set b one proposition short of a decision's goal: b's own pass,
         or, when b misses a proposition p that is not live, the live
         test's pass of `used` - {p}, whose trap is empty as Trap(b) is.
-        So the passes made here are among the walks' sets."""
+        So each pass made here is a live-test pass or one of the walks'."""
         for p in _bits(self.used & ~b):
             if not self(self.used & ~p):
                 b = self.used & ~p
@@ -594,19 +590,22 @@ class _Traps:
         the `live` propositions, whose co-singleton trap is not empty, are
         worth dropping, d = |used ∪ b| - (m - 1) of them; d is one number
         per decision, as covered sets lie within `used`. When the
-        C(|live|, d) sets P exceed |AP|^3 the leaf set is empty, so the
-        walks of a decision take at most |AP|^3 fresh passes. Otherwise
-        a depth-first walk from P = used drops live propositions outside
-        b, bounds each set's trap by the traps of the sets above it,
-        skips a set whose bound adds nothing to the union, and returns
-        the whole union."""
+        C(|free|, d) sets P, free being the live propositions outside b,
+        exceed |AP|^3 the leaf set is empty, so one covered set's walk
+        looks at no more than |AP|^3 sets. Otherwise a depth-first walk
+        from P = used drops free propositions, bounds each set's trap by
+        the traps of the sets above it, skips a set whose bound adds
+        nothing to the union, and returns the whole union. Each fresh
+        pass is Trap(used - D) for a D ⊆ live with |D| = d."""
         memo, used = self.memo, self.used
         drop = (used | b).bit_count() - (m - 1)
         if drop <= 0:
             return range(self.g.n)
-        if not self.walks(drop):
-            return ()
+        if self.live is None:
+            self.live = [(p, top) for p in _bits(used) if (top := self(used & ~p))]
         free = [(p, top) for p, top in self.live if not b & p]
+        if math.comb(len(free), drop) > len(self.g.ap) ** 3:
+            return ()
         union: set[int] = set()
         stack: list[tuple[int, int, set[int] | None, int]] = [(used, 0, None, drop)]
         while stack:

@@ -14,9 +14,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .errors import EmptyEdgeSetError, FormatError
+from .errors import BudgetExceededError, EmptyEdgeSetError, FormatError
 from .formats import render_obj
 from .model import PLAYER1, PLAYER2, LabeledGameGraph, LabeledGraph, patch_self_loops
+
+# The most variables a DIMACS or QDIMACS input may declare or use: the
+# gadgets and the free-variable prefix hold a few objects per variable.
+DIMACS_VAR_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -342,7 +346,8 @@ def _dimacs_int(tok: str, what: str) -> int:
 def _scan_dimacs(text: str, quantified: bool):
     """Preamble, `e`/`a` quantifier lines (QDIMACS only, before the
     first clause) and zero-terminated clauses. The variable count is the
-    declared one, else the largest variable used."""
+    declared one, else the largest variable used; above DIMACS_VAR_CAP
+    it raises BudgetExceededError."""
     declared = None
     prefix: list[tuple[str, int]] = []
     clauses: list[tuple[int, ...]] = []
@@ -383,6 +388,8 @@ def _scan_dimacs(text: str, quantified: bool):
     if num_vars is None:
         used = {abs(l) for cl in clauses for l in cl} | {v for _, v in prefix}
         num_vars = max(used, default=0)
+    if num_vars > DIMACS_VAR_CAP:
+        raise BudgetExceededError(f"{num_vars} variables exceed the cap of {DIMACS_VAR_CAP}")
     return prefix, CnfFormula(num_vars, tuple(clauses))
 
 

@@ -527,6 +527,46 @@ class TestVerify:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+class TestBudgetExceeded:
+    """Inputs that would take memory beyond any answer's need: exit 3
+    and one `error:` line, before anything large is built."""
+
+    @staticmethod
+    def assert_budget_error(capsys, argv):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_strategy_budget_past_the_bounded_depth(self, capsys, tmp_path):
+        # the check keeps a state per step, and no bounded search of this
+        # game goes past |V| * (|AP| + 1) = 4 steps
+        game = {
+            "ap": ["p"],
+            "initial": "s",
+            "edges": [["s", "s"], ["s", "t"], ["t", "s"]],
+            "vertices": [{"id": "s", "props": [], "owner": 2},
+                         {"id": "t", "props": ["p"], "owner": 1}],
+        }
+        witness = {"kind": "strategy", "budget": 100_000_000, "entries": [], "m": 1}
+        model = write(tmp_path, json.dumps(game), "game.cov")
+        path = write(tmp_path, json.dumps(witness), "witness.json")
+        self.assert_budget_error(capsys, ["certify", model, "--witness", path])
+
+    @pytest.mark.parametrize(
+        "reduction, text",
+        [
+            ("sat", "p cnf 999999999 1\n1 0\n"),
+            ("sat", "999999999 0\n"),
+            ("qbf", "p cnf 999999999 1\ne 1 0\n1 0\n"),
+            ("qbf", "a 999999999 0\n1 0\n"),
+        ],
+        ids=["declared", "inferred", "qbf-free-variables", "qbf-inferred"],
+    )
+    def test_dimacs_variable_count_past_the_cap(self, capsys, tmp_path, reduction, text):
+        path = write(tmp_path, text, "phi.txt")
+        self.assert_budget_error(capsys, ["gadget", reduction, path])
+
+
 class TestDeterminism:
     def test_json_output_is_stable(self, capsys, triangle_file, game_file):
         for argv in (

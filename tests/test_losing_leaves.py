@@ -20,7 +20,7 @@ from covgame import (
 )
 from covgame import game_cover
 from covgame.game_cover import _attractor, _Product, _Traps
-from genmodels import random_game, random_recurrent_game, wide_games
+from genmodels import random_game, random_recurrent_game, sparse_random_game, wide_games
 
 seeds = given(st.integers(min_value=0, max_value=2**32 - 1))
 examples = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -110,8 +110,9 @@ def test_leaf_sets_are_complete(seed):
                 continue
             leaves = set(traps.confined(b, m))
             drop = (traps.used | b).bit_count() - (m - 1)
-            if drop > 0 and math.comb(len(traps.live), drop) > len(g.ap) ** 3:
-                continue  # the size test turns the walk down
+            free = [p for p, _ in traps.live or () if not b & p]
+            if drop > 0 and math.comb(len(free), drop) > len(g.ap) ** 3:
+                continue  # the size test turns this covered set's walk down
             want = set().union(*(confined_within(g, p) for p in subsets_between(b, full, m)))
             assert leaves == want, (b, m)
 
@@ -129,6 +130,16 @@ def side_trap_cycle(k: int = 30):
         list(zip(["v0"] + cs, cs + ["v0"])) + list(zip(cs, ss)) + [(s, s) for s in ss],
         "v0",
     )
+
+
+def pass_bound(g, m) -> int:
+    """C(|live|, d) + 2|AP| + 1 for the decision at m: the walks and the
+    m - 1 layer make at most C(|live|, d) fresh passes, the live test
+    |AP| and the safety bound |AP| + 1."""
+    traps = _Traps(g)
+    live = [p for p in game_cover._bits(traps.used) if traps(traps.used & ~p)]
+    drop = traps.used.bit_count() - (m - 1)
+    return math.comb(len(live), max(drop, 0)) + 2 * len(g.ap) + 1
 
 
 def test_wide_games_bound_their_trap_passes(monkeypatch):
@@ -150,13 +161,6 @@ def test_wide_games_bound_their_trap_passes(monkeypatch):
             if m == 15:
                 assert ans.decision == (name != "star")
                 assert not ans.decision or strategy_covers(g, ans.strategy, 15)
-
-
-def walks_run(g, m) -> bool:
-    """Whether a decision at m runs its walks, so that its states
-    covering m - 1 are leaves."""
-    traps = _Traps(g)
-    return traps.walks(traps.used.bit_count() - (m - 1))
 
 
 def record_products(monkeypatch) -> list:
@@ -187,23 +191,43 @@ def test_exact_decisions_expand_nothing_past_m_minus_1(seed):
             built.clear()
             max_coverage_game(g, m)
             for prod in built:
-                assert walks_run(g, m)  # these games are too narrow for the size test
                 assert all(c < m - 1 for c in expanded(prod)), (m, expanded(prod))
 
 
-def test_refused_walks_expand_the_m_minus_1_layer(monkeypatch):
+def test_wide_decisions_expand_nothing_past_m_minus_1(monkeypatch):
     # every proposition of the side-trap cycle is live, so from m = 5 to
-    # 27 the C(30, 31 - m) candidate sets exceed 30^3 and the walks are
-    # refused; the states covering m - 1 are then expanded as before
+    # 27 the C(30, 31 - m) candidate sets of the empty covered set exceed
+    # 30^3; the states covering m - 1 are leaves all the same
     g = side_trap_cycle(30)
     built = record_products(monkeypatch)
-    refused = [m for m in range(1, 31) if not walks_run(g, m)]
-    assert refused == list(range(5, 28))
-    for m in refused:
+    for m in range(5, 28):
+        assert math.comb(30, 31 - m) > 30**3
         built.clear()
         ans = max_coverage_game(g, m)
         assert ans.decision == unpruned_decision(g, m)
-        assert [m - 1 in expanded(prod) for prod in built] == [True]
+        assert len(built) == 1 and all(c < m - 1 for c in expanded(built[0])), m
+
+
+def test_decisions_meet_their_pass_bound(monkeypatch):
+    passes = []
+    trap = game_cover._trap
+    monkeypatch.setattr(game_cover, "_trap", lambda *a: passes.append(a) or trap(*a))
+    for g, ms in [(side_trap_cycle(30), range(5, 28)), (sparse_random_game(1, 200, 14), range(15))]:
+        for m in ms:
+            bound = pass_bound(g, m)
+            passes.clear()
+            max_coverage_game(g, m, want_strategy=False)
+            assert len(passes) <= bound, (m, len(passes), bound)
+
+
+def test_sparse_value_builds_a_small_product(monkeypatch):
+    # C(|live|, d) > 14^3 at m = 7..9, but the size test is per covered
+    # set and no state covering m - 1 is expanded, so the value stays small
+    built = record_products(monkeypatch)
+    g = sparse_random_game(1, 200, 14)
+    ans = coverage_value_game(g)
+    assert sum(map(len, built)) < 20_000
+    assert strategy_covers(g, ans.strategy, ans.value)
 
 
 def test_wide_strategies_cover_at_every_m():
