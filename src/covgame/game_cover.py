@@ -4,8 +4,8 @@ Maximal coverage is a reachability game on the lazy (vertex, covered)
 product: the tester wins iff the initial product state lies in the
 player-1 attractor of the states whose covered set is large enough. The
 goals {covered >= t} are nested, so one incremental attractor yields
-every level, and the successor through which each tester state entered
-gives a finite-memory strategy whose memory is exactly the covered set.
+every level; a strategy moves each tester state a play reaches to the
+successor it entered through, with the covered set as its memory.
 First `_safety_bound` caps the value at the cover ub of a region the
 system can confine the play to, so a decision at m > ub is NO with no
 product. In a decision at m, states covering >= m are winning leaves,
@@ -105,7 +105,7 @@ class TesterStrategy:
 
     @classmethod
     def from_obj(cls, g: LabeledGameGraph, obj: dict) -> "TesterStrategy":
-        """Inverse of to_obj; a malformed entry raises FormatError."""
+        """Inverse of to_obj; a malformed or repeated entry raises FormatError."""
         budget = obj.get("budget")
         if budget is not None and not (_is_int(budget) and budget >= 0):
             raise FormatError("strategy budget must be a non-negative integer")
@@ -126,6 +126,8 @@ class TesterStrategy:
                 if not _is_int(entry["remaining"]):
                     raise FormatError("strategy entry: remaining must be an integer")
                 key += (entry["remaining"],)
+            if key in moves:
+                raise FormatError(f"strategy entry {entry!r} repeats an earlier entry's key")
             moves[key] = pick
         return cls(moves, budget)
 
@@ -175,8 +177,9 @@ class _Product:
 
     State i is the pair (vert[i], cov[i]); state 0 is the initial state.
     The lookup key of a state is the integer cov * n + v, so no tuple is
-    made per state. Predecessor rows are filled during the build, in
-    ascending source order, and `pending` holds each state's out-degree.
+    made per state; `index` maps keys to states. Predecessor rows are
+    filled during the build, in ascending source order, and `pending`
+    holds each state's out-degree.
     The states of BFS depth d are layers[d] .. layers[d + 1] - 1.
 
     One dict lookup per state finds the leaf vertices of its covered
@@ -186,11 +189,12 @@ class _Product:
     one.
 
     With a depth `cap` the product is layered: each depth has its own
-    key index, so a pair reached at two depths is two states, every edge
-    joins depth d to d + 1, and the states at depth `cap` are leaves.
+    key index (`index` is None), so a pair reached at two depths is two
+    states, every edge joins depth d to d + 1, and the states at depth
+    `cap` are leaves.
     """
 
-    __slots__ = ("vert", "cov", "pred", "pending", "player1", "layers", "cap")
+    __slots__ = ("vert", "cov", "pred", "pending", "player1", "layers", "cap", "index")
 
     def __init__(self, g: LabeledGameGraph, settled: int, cap: int | None = None, confined=None):
         n, labels, succ = g.n, g.labels, g.succ
@@ -228,6 +232,7 @@ class _Product:
         self.player1 = [player1[v] for v in vert]
         self.layers = layers
         self.cap = cap
+        self.index = index if cap is None else None
 
     def __len__(self) -> int:
         return len(self.vert)
@@ -289,17 +294,36 @@ def _attractor(pending, pred, player1, levels, stop):
     return entered, cause
 
 
-def _cause_strategy(prod: _Product, entered, cause, m: int) -> TesterStrategy:
-    """The cause move of every player-1 state covering < m that entered
-    the attractor by propagation (seeds have no cause), keyed (v, b) or,
-    on a layered product, (v, b, steps left)."""
+def _strategy(g: LabeledGameGraph, prod: _Product, cause, m: int, exits: dict) -> TesterStrategy:
+    """The tester's moves at the states that the plays from the initial
+    state reach before covering m: one breadth-first walk takes the
+    attractor's cause at a tester state and every successor at a system
+    state. Moves are keyed (v, b), or (v, b, steps left) on a layered
+    product, whose walk indexes and marks one depth at a time. `exits[b]`
+    holds the moves from a decision's leaves covering b, |b| = m - 1."""
+    n, labels, succ, owner = g.n, g.labels, g.succ, g.owner
     vert, cov, layers, cap = prod.vert, prod.cov, prod.layers, prod.cap
+    index, seen, left = prod.index, set(), ()
     moves = {}
-    for d in range(len(layers) - 1):
-        left = () if cap is None else (cap - d,)
-        for i in range(layers[d], layers[d + 1]):
-            if cause[i] >= 0 and cov[i].bit_count() < m:
-                moves[(vert[i], cov[i]) + left] = vert[cause[i]]
+    todo = [(g.initial, labels[g.initial])]
+    depth = 0
+    while todo:
+        if cap is not None:
+            index = {cov[i] * n + vert[i]: i for i in range(layers[depth], layers[depth + 1])}
+            seen, left = set(), (cap - depth,)
+        reached, todo = todo, []
+        for v, b in reached:
+            key = b * n + v
+            if key in seen or b.bit_count() >= m:
+                continue
+            seen.add(key)
+            if owner[v] == PLAYER1:
+                u = exits[b][v] if b in exits else vert[cause[index[key]]]
+                moves[(v, b) + left] = u
+                todo.append((u, b | labels[u]))
+            else:
+                todo += [(u, b | labels[u]) for u in succ[v]]
+        depth += 1
     return TesterStrategy(moves, cap)
 
 
@@ -319,18 +343,14 @@ def _decide(traps: "_Traps", m: int, want_strategy: bool) -> GameAnswer:
             seeds.append(i)
         elif c == m - 1:
             layer.setdefault(b, []).append(i)
+    exits: dict[int, list[int]] = {}  # b -> causes of Trap(b)'s pass
     for b, states in layer.items():
-        trap = traps.escape(b)[0]
+        trap, exits[b] = traps.escape(b)
         seeds += [i for i in states if vert[i] not in trap]
     entered, cause = _attractor(prod.pending, prod.pred, prod.player1, [(m, seeds)], 0)
     if entered[0] is None:
         return GameAnswer(False)
-    if not want_strategy:
-        return GameAnswer(True)
-    strategy = _cause_strategy(prod, entered, cause, m)
-    for b, states in layer.items():
-        strategy.moves.update(traps.escape_moves(b, [vert[i] for i in states if entered[i] is not None]))
-    return GameAnswer(True, strategy=strategy)
+    return GameAnswer(True, strategy=_strategy(traps.g, prod, cause, m, exits) if want_strategy else None)
 
 
 def max_coverage_game(
@@ -402,7 +422,7 @@ def bounded_coverage_game(
     value = entered[0]
     if value < m:
         return GameAnswer(False, value=value)
-    strategy = _cause_strategy(prod, entered, cause, m) if want_strategy else None
+    strategy = _strategy(g, prod, cause, m, {}) if want_strategy else None
     return GameAnswer(True, value=value, strategy=strategy)
 
 
@@ -560,26 +580,6 @@ class _Traps:
                 break
         trap = self(b)
         return trap, self.causes[b & self.used]
-
-    def escape_moves(self, b: int, starts: list[int]) -> dict:
-        """Tester moves keyed (v, b) that take every play from `starts`,
-        vertices outside Trap(b), to a vertex labeled outside b: the
-        causes of `escape(b)`'s pass, from each vertex labeled within b
-        that they and the system reach first."""
-        labels, succ, player1 = self.g.labels, self.g.succ, self.arena[2]
-        cause = self.escape(b)[1]
-        moves, seen, todo = {}, set(starts), list(starts)
-        for v in todo:
-            if player1[v]:
-                moves[(v, b)] = cause[v]
-                nexts: Iterable[int] = (cause[v],)
-            else:
-                nexts = succ[v]
-            for u in nexts:
-                if not labels[u] & ~b and u not in seen:
-                    seen.add(u)
-                    todo.append(u)
-        return moves
 
     def confined(self, b: int, m: int) -> Iterable[int]:
         """Vertices from which the system keeps the cover of a play that

@@ -415,6 +415,18 @@ class TestMalformedInputs:
         path = write(tmp_path, witness[:-4], "witness.json")
         self.assert_usage_error(capsys, ["certify", game, "--witness", path])
 
+    @pytest.mark.parametrize("first", [True, False], ids=["bad-first", "bad-last"])
+    def test_repeated_strategy_key(self, capsys, tmp_path, first):
+        # a second move for (home, {idle}) makes the strategy ambiguous,
+        # whichever of the two entries comes first
+        model = str(DEMO_MODELS / "handshake.game.cov")
+        assert main(["solve", model, "--m", "2", "--json"]) == 0
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        bad = {"vertex": "home", "covered": ["idle"], "choose": "home"}
+        witness["entries"].insert(0 if first else len(witness["entries"]), bad)
+        path = write(tmp_path, json.dumps(witness), "witness.json")
+        self.assert_usage_error(capsys, ["certify", model, "--witness", path])
+
     @pytest.mark.parametrize(
         "witness",
         [

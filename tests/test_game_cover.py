@@ -10,6 +10,7 @@ import pytest
 
 from covgame import (
     ApCapExceededError,
+    PLAYER1,
     PLAYER2,
     LabeledGameGraph,
     NotRecurrentError,
@@ -260,6 +261,30 @@ class TestBoundedCoverageGame:
         assert strategy_covers(g, ans.strategy, 3)
 
 
+def reached_tester_states(g, strategy, m) -> int:
+    """The tester states that the plays from the initial state reach
+    under `strategy` before covering m or running out of steps: a
+    depth-first walk that follows the strategy at tester states and every
+    successor at system states."""
+    start = (g.initial, g.labels[g.initial], strategy.budget)
+    seen, stack, count = {start}, [start], 0
+    while stack:
+        v, b, left = stack.pop()
+        if b.bit_count() >= m or left == 0:
+            continue
+        if g.owner[v] == PLAYER1:
+            count += 1
+            nexts = [strategy.choose(v, b, left)]
+        else:
+            nexts = g.succ[v]
+        for u in nexts:
+            child = (u, b | g.labels[u], None if left is None else left - 1)
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return count
+
+
 class TestStrategies:
     def test_unbounded_strategy_sound(self):
         rng = random.Random(73)
@@ -285,6 +310,32 @@ class TestStrategies:
                 assert strategy_covers(g, ans.strategy, m)
                 checked += 1
         assert checked > 20
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda rng: random_game(rng, 8, 4), lambda rng: random_recurrent_game(rng, 7, 4)],
+        ids=["random", "recurrent"],
+    )
+    def test_strategies_hold_only_reached_moves(self, make):
+        rng = random.Random(97)
+        for _ in range(60):
+            g = make(rng)
+            value = coverage_value_game(g)
+            answers = [(value.value, value)]
+            for m in range(len(g.ap) + 1):
+                answers.append((m, max_coverage_game(g, m)))
+                answers += [(m, bounded_coverage_game(g, m, k)) for k in range(7)]
+            for m, ans in answers:
+                if ans.decision:
+                    assert strategy_covers(g, ans.strategy, m)
+                    assert len(ans.strategy.moves) == reached_tester_states(g, ans.strategy, m)
+
+    def test_sparse_decision_strategy_is_small(self):
+        # the attractor holds tens of thousands of tester states here,
+        # and the plays from the initial state reach 69 of them
+        g = sparse_random_game(4)
+        strategy = max_coverage_game(g, 7).strategy
+        assert len(strategy.moves) == reached_tester_states(g, strategy, 7) == 69
 
     def test_broken_strategy_detected(self, adversarial_game):
         from covgame import TesterStrategy

@@ -151,10 +151,13 @@ def test_wide_games_bound_their_trap_passes(monkeypatch):
         k = len(g.ap)
         ub = game_cover._safety_bound(_Traps(g))
         for m in range(1, k + 1):
+            bound = pass_bound(g, m)
             passes.clear()
             ans = max_coverage_game(g, m)
-            # the safety bound takes up to |AP| + 1 passes, the live test
-            # |AP| and the walks at most |AP|^3, the size test's cap
+            # a decision promises C(|live|, d) + 2|AP| + 1 passes; these
+            # games also stay within |AP|^3 + 2|AP| + 1, which is tighter
+            # here, though the per-set cap does not promise it
+            assert len(passes) <= bound, (name, m, len(passes), bound)
             assert len(passes) <= k**3 + 2 * k + 1, (name, m, len(passes))
             # every pass goes through _trap, so the count above is real
             assert m > ub or passes, (name, m)
