@@ -44,9 +44,10 @@ for entry in entries:
     print("  at", entry["vertex"], "with", entry["covered"], "->", entry["choose"])
 print("strategy survives all playouts:", strategy_covers(loop, ans.strategy, 3))
 
-# Bounded coverage runs the same attractor on the product layered by
-# depth up to the budget; the level at which the initial state enters
-# is the exact value the tester can guarantee within the budget.
+# Bounded coverage ranks the states of the product capped at the budget
+# by the fewest rounds in which the tester forces each coverage level;
+# the highest level whose rank at the initial state fits the budget is
+# the exact value the tester can guarantee within it.
 mixed = LabeledGameGraph.make_game(
     ap=["p", "q", "r"],
     vertices=[

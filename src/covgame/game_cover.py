@@ -2,10 +2,9 @@
 
 Maximal coverage is a reachability game on the lazy (vertex, covered)
 product: the tester wins iff the initial product state lies in the
-player-1 attractor of the states whose covered set is large enough. The
-goals {covered >= t} are nested, so one incremental attractor yields
-every level; a strategy moves each tester state a play reaches to the
-successor it entered through, with the covered set as its memory.
+player-1 attractor of the states whose covered set is large enough. A
+strategy moves each tester state a play reaches to the successor it
+entered through, with the covered set as its memory.
 First `_safety_bound` caps the value at the cover ub of a region the
 system can confine the play to, so a decision at m > ub is NO with no
 product. In a decision at m, states covering >= m are winning leaves,
@@ -23,9 +22,10 @@ d = |used| - (m - 1) live propositions from the used ones, so a decision
 takes at most C(|live|, d) + 2|AP| + 1 passes. The value is the first
 YES among the decisions at t = ub, ub - 1, ..., |L(v_in)| + 1.
 
-Bounded coverage runs the same attractor on the product layered by
-depth up to the step budget; on that acyclic game the entry level of
-the initial state is the minimax value of the budgeted play.
+Bounded coverage is that game within k steps: its answer is the
+attractor rank of the initial state, the fewest rounds in which the
+tester forces the goal. One pass per goal {covered >= t} over the
+product capped at k steps gives the value, the largest t ranked within k.
 
 End components and minimal safety need no product. Restricted to the
 vertices labeled within a proposition set P, one linear pass of
@@ -180,21 +180,16 @@ class _Product:
     made per state; `index` maps keys to states. Predecessor rows are
     filled during the build, in ascending source order, and `pending`
     holds each state's out-degree.
-    The states of BFS depth d are layers[d] .. layers[d + 1] - 1.
 
     One dict lookup per state finds the leaf vertices of its covered
     set b (see `_Leaves`): all of V when |b| >= `settled`, else those
     that `confined(b)` proves confined below the caller's goal. A leaf
     enters the attractor only as a seed, so an unseeded leaf is a losing
-    one.
-
-    With a depth `cap` the product is layered: each depth has its own
-    key index (`index` is None), so a pair reached at two depths is two
-    states, every edge joins depth d to d + 1, and the states at depth
-    `cap` are leaves.
+    one. With a depth `cap` the states at BFS distance `cap` are leaves
+    too; each state appears once, at its shortest distance.
     """
 
-    __slots__ = ("vert", "cov", "pred", "pending", "player1", "layers", "cap", "index")
+    __slots__ = ("vert", "cov", "pred", "pending", "player1", "cap", "index")
 
     def __init__(self, g: LabeledGameGraph, settled: int, cap: int | None = None, confined=None):
         n, labels, succ = g.n, g.labels, g.succ
@@ -202,12 +197,10 @@ class _Product:
         vert, cov = [v0], [labels[v0]]
         index = {labels[v0] * n + v0: 0}
         pred: list[list[int]] = [[]]
-        layers = [0, 1]
         leaves = _Leaves(n, settled, confined)
-        while layers[-2] < layers[-1] and len(layers) - 2 != cap:
-            if cap is not None:
-                index = {}  # layered: the next depth's states are all new
-            for i, v in enumerate(vert[layers[-2]:], layers[-2]):
+        lo, hi, depth = 0, 1, 0  # the states of BFS depth `depth` are lo .. hi - 1
+        while lo < hi and depth != cap:
+            for i, v in enumerate(vert[lo:hi], lo):
                 b = cov[i]
                 if v in leaves[b]:
                     continue
@@ -222,7 +215,7 @@ class _Product:
                         pred.append([i])
                     else:
                         pred[j].append(i)
-            layers.append(len(vert))
+            lo, hi, depth = hi, len(vert), depth + 1
         degree = [len(row) for row in succ]
         player1 = [who == PLAYER1 for who in g.owner]
         self.vert = vert
@@ -230,9 +223,8 @@ class _Product:
         self.pred = pred
         self.pending = [degree[v] for v in vert]
         self.player1 = [player1[v] for v in vert]
-        self.layers = layers
         self.cap = cap
-        self.index = index if cap is None else None
+        self.index = index
 
     def __len__(self) -> int:
         return len(self.vert)
@@ -258,59 +250,55 @@ class _Leaves(dict):
         return leaf
 
 
-def _attractor(pending, pred, player1, levels, stop):
-    """Nested player-1 attractor, computed incrementally.
-
-    `pending` holds each node's successor count and is consumed.
-    `levels` yields (level, seeds) pairs from the highest level down; the
-    targets are nested, so each level extends the previous attractor,
-    keeping the pending successor counters of player-2 nodes. Stops
-    after the level at which node `stop` enters. Returns the entry level
-    per node (None = the adversary avoids every target processed) and,
-    per player-1 node that entered by propagation, its cause: the
-    earlier-entered successor that pulled it in. Moving to the cause
-    strictly decreases the entry order, so it is a winning strategy.
-    """
-    entered: list[int | None] = [None] * len(pred)
-    cause = [-1] * len(pred)
-    for level, seeds in levels:
-        queue = [i for i in seeds if entered[i] is None]
-        for i in queue:
-            entered[i] = level
-        for j in queue:
-            for i in pred[j]:
-                if entered[i] is not None:
+def _attractor(pending, pred, player1, seeds):
+    """Player-1 attractor of `seeds`: per node, the node that pulled it
+    in (None outside; a seed holds itself). `pending` holds each node's
+    successor count and is consumed. The queue runs in rank order, the
+    rank being the fewest rounds in which player 1 forces a seed: a
+    player-1 node enters through its lowest-ranked successor and a
+    player-2 node through its highest. So a node ranks one above its
+    puller (`_rank`), and at a player-1 node the puller, its cause, is a
+    winning move."""
+    via: list[int | None] = [None] * len(pred)
+    queue = list(seeds)
+    for i in queue:
+        via[i] = i
+    for j in queue:
+        for i in pred[j]:
+            if via[i] is not None:
+                continue
+            if not player1[i]:
+                pending[i] -= 1
+                if pending[i]:
                     continue
-                if player1[i]:
-                    cause[i] = j
-                else:
-                    pending[i] -= 1
-                    if pending[i]:
-                        continue
-                entered[i] = level
-                queue.append(i)
-        if entered[stop] is not None:
-            break
-    return entered, cause
+            via[i] = j
+            queue.append(i)
+    return via
 
 
-def _strategy(g: LabeledGameGraph, prod: _Product, cause, m: int, exits: dict) -> TesterStrategy:
+def _rank(via, i: int) -> float:
+    """Node i's rank: its chain of pullers down to a seed is that long
+    (infinite outside the attractor)."""
+    if via[i] is None:
+        return math.inf
+    rank = 0
+    while via[i] != i:
+        i, rank = via[i], rank + 1
+    return rank
+
+
+def _strategy(g: LabeledGameGraph, prod: _Product, via, m: int, exits: dict) -> TesterStrategy:
     """The tester's moves at the states that the plays from the initial
     state reach before covering m: one breadth-first walk takes the
     attractor's cause at a tester state and every successor at a system
-    state. Moves are keyed (v, b), or (v, b, steps left) on a layered
-    product, whose walk indexes and marks one depth at a time. `exits[b]`
-    holds the moves from a decision's leaves covering b, |b| = m - 1."""
+    state. `exits[b]` holds the moves from a decision's leaves covering
+    b, |b| = m - 1. On a product with a depth cap, moves are keyed
+    (v, b, steps left), and the walk marks states one depth at a time."""
     n, labels, succ, owner = g.n, g.labels, g.succ, g.owner
-    vert, cov, layers, cap = prod.vert, prod.cov, prod.layers, prod.cap
-    index, seen, left = prod.index, set(), ()
-    moves = {}
+    vert, index, cap = prod.vert, prod.index, prod.cap
+    moves, seen, left = {}, set(), cap
     todo = [(g.initial, labels[g.initial])]
-    depth = 0
     while todo:
-        if cap is not None:
-            index = {cov[i] * n + vert[i]: i for i in range(layers[depth], layers[depth + 1])}
-            seen, left = set(), (cap - depth,)
         reached, todo = todo, []
         for v, b in reached:
             key = b * n + v
@@ -318,12 +306,13 @@ def _strategy(g: LabeledGameGraph, prod: _Product, cause, m: int, exits: dict) -
                 continue
             seen.add(key)
             if owner[v] == PLAYER1:
-                u = exits[b][v] if b in exits else vert[cause[index[key]]]
-                moves[(v, b) + left] = u
+                u = exits[b][v] if b in exits else vert[via[index[key]]]
+                moves[(v, b) if cap is None else (v, b, left)] = u
                 todo.append((u, b | labels[u]))
             else:
                 todo += [(u, b | labels[u]) for u in succ[v]]
-        depth += 1
+        if cap is not None:
+            seen, left = set(), left - 1
     return TesterStrategy(moves, cap)
 
 
@@ -347,10 +336,10 @@ def _decide(traps: "_Traps", m: int, want_strategy: bool) -> GameAnswer:
     for b, states in layer.items():
         trap, exits[b] = traps.escape(b)
         seeds += [i for i in states if vert[i] not in trap]
-    entered, cause = _attractor(prod.pending, prod.pred, prod.player1, [(m, seeds)], 0)
-    if entered[0] is None:
+    via = _attractor(prod.pending, prod.pred, prod.player1, seeds)
+    if via[0] is None:
         return GameAnswer(False)
-    return GameAnswer(True, strategy=_strategy(traps.g, prod, cause, m, exits) if want_strategy else None)
+    return GameAnswer(True, strategy=_strategy(traps.g, prod, via, m, exits) if want_strategy else None)
 
 
 def max_coverage_game(
@@ -401,12 +390,13 @@ def bounded_coverage_game(
     want_strategy: bool = True,
     ap_cap: int = DEFAULT_AP_CAP,
 ) -> GameAnswer:
-    """Minimax value of the exploration tree capped at k steps, decided
-    against m: the nested attractor over the product layered by depth,
-    whose states at the depth cap or covering all of AP are leaves.
-
-    The depth cap is min(k, |V| * (|AP| + 1)): coverage saturates past
-    that, so deeper budgets cannot change the value.
+    """Largest coverage the tester can force within k steps, decided
+    against m: the first t = |AP|, |AP| - 1, ..., |L(v_in)| + 1 whose
+    attractor of {covered >= t} ranks the initial state within the cap,
+    on the product capped there, else |L(v_in)|. The cap is
+    min(k, |V| * (|AP| + 1)), as coverage saturates past that. A play
+    meets each state no earlier than its distance, so a winning play
+    within the cap leaves only from states below it, all expanded.
     """
     _check_game(g, ap_cap)
     check_target(g, m, k)
@@ -416,13 +406,18 @@ def bounded_coverage_game(
     by_count: list[list[int]] = [[] for _ in range(full + 1)]
     for i, b in enumerate(prod.cov):
         by_count[b.bit_count()].append(i)
-    # goals {covered >= t}, t = |AP| down to the root's entry level
-    levels = ((t, by_count[t]) for t in range(full, -1, -1))
-    entered, cause = _attractor(prod.pending, prod.pred, prod.player1, levels, 0)
-    value = entered[0]
+    value, seeds, via = g.labels[g.initial].bit_count(), [], None
+    for t in range(full, value, -1):
+        if not by_count[t]:
+            continue
+        seeds += by_count[t]
+        via = _attractor(list(prod.pending), prod.pred, prod.player1, seeds)
+        if _rank(via, 0) <= cap:
+            value = t
+            break
     if value < m:
         return GameAnswer(False, value=value)
-    strategy = _strategy(g, prod, cause, m, {}) if want_strategy else None
+    strategy = _strategy(g, prod, via, m, {}) if want_strategy else None
     return GameAnswer(True, value=value, strategy=strategy)
 
 
@@ -511,7 +506,7 @@ def _return_check(g: LabeledGraph, want_reach: bool = False) -> tuple[list[int] 
     outside the attractor, so the forward sweep runs only when some vertex
     does, or when `want_reach` is set; otherwise reach is None."""
     require_valid(g)
-    inside, _ = _attractor(*_arena(g), [(0, [g.initial])], g.initial)
+    inside = _attractor(*_arena(g), [g.initial])
     if not want_reach and None not in inside:
         return None, None
     reach = _reachable(g.succ, g.initial)
@@ -535,8 +530,8 @@ def _trap(g: LabeledGameGraph, arena, outside: list[int]) -> tuple[set[int], lis
     that attractor's causes. `arena` is built once per query; its
     degrees are copied per call."""
     degree, pred, player1 = arena
-    entered, cause = _attractor(list(degree), pred, player1, [(0, outside)], g.initial)
-    return {v for v, level in enumerate(entered) if level is None}, cause
+    via = _attractor(list(degree), pred, player1, outside)
+    return {v for v, u in enumerate(via) if u is None}, via
 
 
 class _Traps:

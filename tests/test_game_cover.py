@@ -193,6 +193,20 @@ class TestCoverageValueGame:
             )
 
 
+@pytest.fixture
+def built_products(monkeypatch):
+    """Every `_Product` the solvers build, in order."""
+    built = []
+
+    class Recorded(_Product):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(game_cover, "_Product", Recorded)
+    return built
+
+
 class TestBoundedCoverageGame:
     def test_triangle_as_game(self, triangle_game):
         assert bounded_coverage_game(triangle_game, 3, 2).decision
@@ -224,6 +238,38 @@ class TestBoundedCoverageGame:
             assert fast.decision == lean.decision
             assert fast.value == lean.value
             assert lean.strategy is None
+
+    def test_value_is_the_attractor_rank(self, built_products):
+        # the system at r picks the head of a five-step tester chain to
+        # the only label; every state lies within two steps of r, so the
+        # capped product is whole from k = 2, yet the tester needs six
+        chain = [f"a{i}" for i in range(5)]
+        g = LabeledGameGraph.make_game(
+            ["p"],
+            [("r", [], 2)] + [(a, [], 1) for a in chain] + [("goal", ["p"], 1)],
+            [("r", a) for a in chain] + list(zip(chain, chain[1:] + ["goal"])) + [("goal", "goal")],
+            "r",
+        )
+        for k in range(10):
+            built_products.clear()
+            ans = bounded_coverage_game(g, 1, k)
+            assert ans.value == (1 if k >= 6 else 0)
+            assert ans.decision == oracle.brute_force_game(g, 1, k)
+            if ans.decision:
+                assert strategy_covers(g, ans.strategy, 1)
+            # each (vertex, covered) pair is one state, whatever the budget
+            assert [len(p) for p in built_products] == [1 if k == 0 else 6 if k == 1 else 7]
+
+    def test_budget_builds_no_more_than_the_product(self, built_products):
+        # past the depth that reaches every state, the capped product is
+        # the whole product, not one copy of it per depth
+        for seed, size in ((0, 2527), (1, 1390)):
+            g = sparse_random_game(seed, 64, 6)
+            assert len(_Product(g, len(g.ap))) == size
+            for k in (20, 200):
+                built_products.clear()
+                bounded_coverage_game(g, len(g.ap), k, want_strategy=False)
+                assert [len(p) for p in built_products] == [size]
 
     def test_deep_budgets_saturate_to_attractor(self):
         # the bounded minimax agrees with the oracle at a short budget and
@@ -384,17 +430,28 @@ class TestProduct:
             full = len(g.ap)
             for cap in (0, 1, 3):
                 prod = _Product(g, full, cap)
-                layers = prod.layers
-                depth = [d for d in range(len(layers) - 1) for _ in range(layers[d], layers[d + 1])]
+                # each (v, b) appears once
+                assert len(set(zip(prod.vert, prod.cov))) == len(prod)
+                # depth by BFS parent: the first predecessor found the state
+                depth = [0]
+                for j in range(1, len(prod)):
+                    assert prod.pred[j][0] < j
+                    depth.append(depth[prod.pred[j][0]] + 1)
                 # no state lies deeper than the cap; cap 0 expands nothing
-                assert len(depth) == len(prod) and max(depth) <= cap
+                assert max(depth) <= cap
                 assert cap or len(prod) == 1
+                out = [0] * len(prod)
                 for j, row in enumerate(prod.pred):
                     for i in row:
-                        # layered: every edge joins depth d to d + 1
-                        assert depth[j] == depth[i] + 1
-                        # fully covered states are leaves
-                        assert prod.cov[i].bit_count() < full
+                        out[i] += 1
+                        # states at the cap and fully covered ones are leaves
+                        assert depth[i] < cap and prod.cov[i].bit_count() < full
+                        # every edge joins depth d to a depth of at most d + 1
+                        assert depth[j] <= depth[i] + 1
+                for i, v in enumerate(prod.vert):
+                    # every other state is expanded, along all its edges
+                    if depth[i] < cap and prod.cov[i].bit_count() < full:
+                        assert out[i] == len(g.succ[v])
 
 
 class TestRecurrenceGame:

@@ -31,7 +31,7 @@ def unpruned_decision(g, m) -> bool:
     >= m are leaves, and they are the attractor's seeds."""
     prod = _Product(g, m)
     seeds = [i for i, b in enumerate(prod.cov) if b.bit_count() >= m]
-    entered, _ = _attractor(prod.pending, prod.pred, prod.player1, [(m, seeds)], 0)
+    entered = _attractor(prod.pending, prod.pred, prod.player1, seeds)
     return entered[0] is not None
 
 
