@@ -34,6 +34,7 @@ from .graph_cover import (
     max_coverage_graph,
 )
 from .model import (
+    PLAYER1,
     LabeledGameGraph,
     SystemAutomaton,
     check_target,
@@ -149,10 +150,7 @@ def _witness_lines(obj) -> list[str]:
         lines = [f"strategy ({len(obj['entries'])} moves):"]
         for entry in obj["entries"]:
             covered = "{" + ",".join(entry["covered"]) + "}"
-            extra = f" [{entry['remaining']} steps left]" if "remaining" in entry else ""
-            lines.append(
-                f"  at {entry['vertex']} with {covered}{extra} -> {entry['choose']}"
-            )
+            lines.append(f"  at {entry['vertex']} with {covered} -> {entry['choose']}")
         return lines
     vertices = ", ".join(obj["vertices"])
     props = ", ".join(obj["props"]) or "(none)"
@@ -283,7 +281,7 @@ def _cmd_certify(args) -> int:
     kind = inner["kind"]
     if kind == "path":
         path = _witness_vertices(model, inner)
-        valid = path_check(model, path)
+        valid = path_check(model, path) and _forced(model, path)
         if valid and m is not None:
             valid = cover_of(model, path).bit_count() >= m
     elif kind == "strategy":
@@ -305,6 +303,14 @@ def _cmd_certify(args) -> int:
     out.update(witness_kind=kind, m=m, valid=valid)
     _emit(args, out, [f"witness {'valid' if valid else 'INVALID'}"])
     return 0 if valid else 1
+
+
+def _forced(model, path) -> bool:
+    """A path certifies a game only where the system cannot leave it:
+    every player-2 vertex the path leaves has exactly one successor."""
+    if not isinstance(model, LabeledGameGraph):
+        return True
+    return all(model.owner[v] == PLAYER1 or len(model.succ[v]) == 1 for v in path[:-1])
 
 
 def _witness_vertices(model, inner: dict) -> tuple[int, ...]:

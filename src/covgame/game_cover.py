@@ -26,6 +26,8 @@ Bounded coverage is that game within k steps: its answer is the
 attractor rank of the initial state, the fewest rounds in which the
 tester forces the goal. One pass per goal {covered >= t} over the
 product capped at k steps gives the value, the largest t ranked within k.
+Each tester move steps one rank down, so a bounded strategy too has the
+covered set as its only memory.
 
 End components and minimal safety need no product. Restricted to the
 vertices labeled within a proposition set P, one linear pass of
@@ -74,30 +76,25 @@ class TesterStrategy:
     """Finite-memory tester strategy.
 
     Memoryless on the product: the memory is the set of covered
-    propositions, plus the remaining step budget for bounded queries.
-    `moves` maps (vertex, covered) -> successor, or with `budget` set,
-    (vertex, covered, remaining) -> successor.
+    propositions, and `moves` maps (vertex, covered) -> successor. A
+    bounded strategy sets `budget`: every play it allows covers the
+    target within that many steps.
     """
 
     moves: dict
     budget: int | None = None
 
-    def choose(self, vertex: int, covered: int, remaining: int | None = None):
-        if self.budget is None:
-            return self.moves.get((vertex, covered))
-        return self.moves.get((vertex, covered, remaining))
+    def choose(self, vertex: int, covered: int):
+        return self.moves.get((vertex, covered))
 
     def to_obj(self, g: LabeledGameGraph) -> dict:
         entries = []
         for key in sorted(self.moves):
-            entry = {
+            entries.append({
                 "vertex": g.names[key[0]],
                 "covered": list(mask_names(g.ap, key[1])),
                 "choose": g.names[self.moves[key]],
-            }
-            if self.budget is not None:
-                entry["remaining"] = key[2]
-            entries.append(entry)
+            })
         obj = {"kind": "strategy", "entries": entries}
         if self.budget is not None:
             obj["budget"] = self.budget
@@ -105,11 +102,12 @@ class TesterStrategy:
 
     @classmethod
     def from_obj(cls, g: LabeledGameGraph, obj: dict) -> "TesterStrategy":
-        """Inverse of to_obj; a malformed or repeated entry raises FormatError."""
+        """Inverse of to_obj; a malformed or repeated entry raises
+        FormatError. Other entry keys are ignored."""
         budget = obj.get("budget")
         if budget is not None and not (_is_int(budget) and budget >= 0):
             raise FormatError("strategy budget must be a non-negative integer")
-        fields = ("vertex", "covered", "choose") + (() if budget is None else ("remaining",))
+        fields = ("vertex", "covered", "choose")
         entries = obj.get("entries", [])
         if not isinstance(entries, list):
             raise FormatError("strategy entries must be a list")
@@ -122,10 +120,6 @@ class TesterStrategy:
                 raise FormatError("strategy entry: covered must be a list of names")
             v, pick = path_from_names(g, (entry["vertex"], entry["choose"]))
             key = (v, mask(covered))
-            if budget is not None:
-                if not _is_int(entry["remaining"]):
-                    raise FormatError("strategy entry: remaining must be an integer")
-                key += (entry["remaining"],)
             if key in moves:
                 raise FormatError(f"strategy entry {entry!r} repeats an earlier entry's key")
             moves[key] = pick
@@ -139,8 +133,9 @@ def _is_int(x) -> bool:
 @dataclass(frozen=True)
 class GameAnswer:
     """Outcome of a game coverage query. `value` is set by value queries
-    and by the bounded solver (root minimax value); the strategy is
-    present on yes answers unless suppressed."""
+    and by the bounded solver (the largest coverage the tester forces
+    within k steps); the strategy is present on yes answers unless
+    suppressed."""
 
     decision: bool
     value: int | None = None
@@ -189,7 +184,7 @@ class _Product:
     too; each state appears once, at its shortest distance.
     """
 
-    __slots__ = ("vert", "cov", "pred", "pending", "player1", "cap", "index")
+    __slots__ = ("vert", "cov", "pred", "pending", "player1", "index")
 
     def __init__(self, g: LabeledGameGraph, settled: int, cap: int | None = None, confined=None):
         n, labels, succ = g.n, g.labels, g.succ
@@ -223,7 +218,6 @@ class _Product:
         self.pred = pred
         self.pending = [degree[v] for v in vert]
         self.player1 = [player1[v] for v in vert]
-        self.cap = cap
         self.index = index
 
     def __len__(self) -> int:
@@ -287,33 +281,34 @@ def _rank(via, i: int) -> float:
     return rank
 
 
-def _strategy(g: LabeledGameGraph, prod: _Product, via, m: int, exits: dict) -> TesterStrategy:
+def _strategy(
+    g: LabeledGameGraph, prod: _Product, via, m: int, exits: dict, budget: int | None = None
+) -> TesterStrategy:
     """The tester's moves at the states that the plays from the initial
-    state reach before covering m: one breadth-first walk takes the
-    attractor's cause at a tester state and every successor at a system
-    state. `exits[b]` holds the moves from a decision's leaves covering
-    b, |b| = m - 1. On a product with a depth cap, moves are keyed
-    (v, b, steps left), and the walk marks states one depth at a time."""
+    state reach before covering m: one walk takes the attractor's cause
+    at a tester state and every successor at a system state. `exits[b]`
+    holds the moves from a decision's leaves covering b, |b| = m - 1.
+    A tester state counts as walked once it holds a move, so `seen`
+    holds system states only. Each move steps down one attractor rank,
+    so a bounded game's moves need no steps-left key: every play stays
+    within the initial state's rank, at most the game's `budget`."""
     n, labels, succ, owner = g.n, g.labels, g.succ, g.owner
-    vert, index, cap = prod.vert, prod.index, prod.cap
-    moves, seen, left = {}, set(), cap
+    vert, index = prod.vert, prod.index
+    moves, seen = {}, set()
     todo = [(g.initial, labels[g.initial])]
     while todo:
-        reached, todo = todo, []
-        for v, b in reached:
-            key = b * n + v
-            if key in seen or b.bit_count() >= m:
+        v, b = todo.pop()
+        if b.bit_count() >= m:
+            continue
+        if owner[v] == PLAYER1:
+            if (v, b) in moves:
                 continue
+            u = moves[(v, b)] = exits[b][v] if b in exits else vert[via[index[b * n + v]]]
+            todo.append((u, b | labels[u]))
+        elif (key := b * n + v) not in seen:
             seen.add(key)
-            if owner[v] == PLAYER1:
-                u = exits[b][v] if b in exits else vert[via[index[key]]]
-                moves[(v, b) if cap is None else (v, b, left)] = u
-                todo.append((u, b | labels[u]))
-            else:
-                todo += [(u, b | labels[u]) for u in succ[v]]
-        if cap is not None:
-            seen, left = set(), left - 1
-    return TesterStrategy(moves, cap)
+            todo += [(u, b | labels[u]) for u in succ[v]]
+    return TesterStrategy(moves, budget)
 
 
 def _decide(traps: "_Traps", m: int, want_strategy: bool) -> GameAnswer:
@@ -397,6 +392,10 @@ def bounded_coverage_game(
     min(k, |V| * (|AP| + 1)), as coverage saturates past that. A play
     meets each state no earlier than its distance, so a winning play
     within the cap leaves only from states below it, all expanded.
+    The strategy keys each move by (v, b) alone, with the cap as its
+    budget: a tester move steps to a state one rank lower and a system
+    state ranks one above its highest successor, so every play's rank
+    falls from the initial state's, which is within the cap.
     """
     _check_game(g, ap_cap)
     check_target(g, m, k)
@@ -417,18 +416,22 @@ def bounded_coverage_game(
             break
     if value < m:
         return GameAnswer(False, value=value)
-    strategy = _strategy(g, prod, via, m, {}) if want_strategy else None
+    strategy = _strategy(g, prod, via, m, {}, cap) if want_strategy else None
     return GameAnswer(True, value=value, strategy=strategy)
 
 
 def strategy_covers(g: LabeledGameGraph, strategy: TesterStrategy, m: int) -> bool:
     """Exhaustively play every adversary line against the strategy and
-    check that each one reaches >= m covered propositions.
+    check that each one reaches >= m covered propositions, within the
+    strategy's step budget if it has one.
 
-    A play that revisits a (vertex, covered) pair before the goal would
-    cycle below m forever, so any such cycle, a missing tester move, or
-    an exhausted step budget fails the check. A budget past the deepest
-    bounded search, |V| * (|AP| + 1), raises BudgetExceededError.
+    One depth-first search over the (vertex, covered) states records, in
+    post-order, each state's longest play to m. A play that revisits a
+    state before the goal would cycle below m forever, so any such
+    cycle, or a missing or illegal tester move, fails the check; with a
+    budget, so does an initial state whose longest play exceeds it. A
+    budget past the deepest bounded search, |V| * (|AP| + 1), raises
+    BudgetExceededError.
     """
     require_valid(g)
     check_target(g, m)
@@ -436,53 +439,35 @@ def strategy_covers(g: LabeledGameGraph, strategy: TesterStrategy, m: int) -> bo
         raise BudgetExceededError(
             f"strategy budget {strategy.budget} exceeds |V| * (|AP| + 1) = {deepest}"
         )
-    labels, succ, owner = g.labels, g.succ, g.owner
-    start: tuple
-    if strategy.budget is None:
-        start = (g.initial, labels[g.initial])
-    else:
-        start = (g.initial, labels[g.initial], strategy.budget)
-
-    def moves_from(node):
-        v, b = node[0], node[1]
-        if b.bit_count() >= m:
-            return []
-        if strategy.budget is not None and node[2] == 0:
-            return None
-        if owner[v] == PLAYER1:
-            pick = strategy.choose(v, b, None if strategy.budget is None else node[2])
-            if pick is None or pick not in succ[v]:
-                return None
-            nexts = [pick]
-        else:
-            nexts = list(succ[v])
-        if strategy.budget is None:
-            return [(u, b | labels[u]) for u in nexts]
-        return [(u, b | labels[u], node[2] - 1) for u in nexts]
-
-    GRAY, BLACK = 1, 2
-    color: dict = {}
-    stack = [(start, False)]
+    n, labels, succ, owner = g.n, g.labels, g.succ, g.owner
+    OPEN = -1
+    longest: dict[int, int] = {}  # state key b * n + v -> its longest play to m, or OPEN
+    stack: list[tuple] = [(g.initial, labels[g.initial], None)]
     while stack:
-        node, leaving = stack.pop()
-        if leaving:
-            color[node] = BLACK
+        v, b, nexts = stack.pop()
+        key = b * n + v
+        if nexts is not None:  # every successor is done
+            longest[key] = 1 + max(longest[(b | labels[u]) * n + u] for u in nexts)
             continue
-        state = color.get(node)
-        if state == BLACK:
+        if key in longest:
+            if longest[key] == OPEN:
+                return False  # a cycle below the goal
             continue
-        if state == GRAY:
-            return False  # cycle below the goal
-        nexts = moves_from(node)
-        if nexts is None:
-            return False
-        color[node] = GRAY
-        stack.append((node, True))
-        for child in nexts:
-            if color.get(child) == GRAY:
+        if b.bit_count() >= m:
+            longest[key] = 0
+            continue
+        if owner[v] == PLAYER1:
+            pick = strategy.choose(v, b)
+            if pick is None or pick not in succ[v]:
                 return False
-            stack.append((child, False))
-    return True
+            nexts = (pick,)
+        else:
+            nexts = succ[v]
+        longest[key] = OPEN
+        stack.append((v, b, nexts))
+        stack += [(u, b | labels[u], None) for u in nexts]
+    start = labels[g.initial] * n + g.initial
+    return strategy.budget is None or longest[start] <= strategy.budget
 
 
 # ---------------------------------------------------------------------------

@@ -202,3 +202,20 @@ def wide_games(k: int = 30, used: int = 30) -> dict[str, LabeledGameGraph]:
             "v0",
         ),
     }
+
+
+def diamond_game(d: int, tester_chains: bool = True) -> LabeledGameGraph:
+    """d system "diamonds" in a row, n = 2^d + d: hub i moves to hub
+    i + 1 either directly or through a chain of 2^i vertices, owned by
+    the tester or (tester_chains=False) by the system. So the plays
+    reach hub i after 2^i distinct numbers of steps, and the longest
+    play to the last hub, the one vertex labeled p, takes 2^d - 1 + d."""
+    owner = 1 if tester_chains else 2
+    vertices, edges = [], []
+    for i in range(d):
+        hub, chain = f"h{i}", [f"c{i}_{j}" for j in range(2**i)]
+        vertices += [(hub, [], 2)] + [(c, [], owner) for c in chain]
+        edges += [(hub, f"h{i + 1}"), (hub, chain[0])] + list(zip(chain, chain[1:] + [f"h{i + 1}"]))
+    vertices.append((f"h{d}", ["p"], 2))
+    edges.append((f"h{d}", f"h{d}"))
+    return LabeledGameGraph.make_game(["p"], vertices, edges, "h0")

@@ -124,7 +124,7 @@ def exhaustive_playout_depth(g, strategy, m):
             return got
         memo[node] = GRAY
         if g.owner[v] == 1:
-            pick = strategy.choose(v, b, None if budget is None else node[2])
+            pick = strategy.choose(v, b)
             if pick is None or pick not in g.succ[v]:
                 memo[node] = None
                 return None

@@ -289,6 +289,27 @@ class TestCertify:
         witness = write(tmp_path, json.dumps(payload), "bad.json")
         assert main(["certify", triangle_file, "--witness", witness]) == 1
 
+    def test_path_through_a_system_choice_rejected(self, tmp_path):
+        # the system picks the branch at probe, so this path proves
+        # nothing: solve --m 3 says NO with an end-component certificate
+        witness = {"kind": "path", "m": 3,
+                   "vertices": ["home", "probe", "l", "home", "probe", "r"]}
+        path = write(tmp_path, json.dumps(witness), "witness.json")
+        model = str(DEMO_MODELS / "handshake.game.cov")
+        assert main(["certify", model, "--witness", path]) == 1
+
+    def test_path_through_a_forced_game(self, tmp_path):
+        # a deterministic system compiles to a game in which each
+        # system vertex has one successor, so its paths are plays
+        system = {"ap": ["ready", "sent"], "states": ["q0", "q1"], "alphabet": ["a", "b"],
+                  "transitions": [["q0", "a", "q1"], ["q0", "b", "q0"],
+                                  ["q1", "a", "q1"], ["q1", "b", "q0"]],
+                  "initial": "q0", "labels": {"q0": ["ready"], "q1": ["sent"]}}
+        model = write(tmp_path, json.dumps(system), "det.system.cov")
+        witness = {"kind": "path", "m": 2, "vertices": ["q0", "(q0,a)", "q1"]}
+        path = write(tmp_path, json.dumps(witness), "witness.json")
+        assert main(["certify", model, "--witness", path]) == 0
+
     def test_strategy_witness(self, capsys, tmp_path, game_file):
         _, out = run_cli(capsys, "solve", game_file, "--m", "1", "--json")
         witness = write(tmp_path, out, "strategy.json")
@@ -392,7 +413,8 @@ class TestMalformedInputs:
             {"kind": "strategy", "m": 1,
              "entries": [{"vertex": "zz", "covered": [], "choose": "v0"}]},
             {"kind": "strategy", "m": 1, "budget": 2,
-             "entries": [{"vertex": "v0", "covered": [], "choose": "v0"}]},
+             "entries": [{"vertex": "v0", "covered": [], "choose": "v0", "remaining": 1},
+                         {"vertex": "v0", "covered": [], "choose": "v0", "remaining": 2}]},
             {"kind": "strategy", "m": 1,
              "entries": [{"vertex": "v0", "covered": "p", "choose": "v0"}]},
             {"kind": "end-component", "m": "x", "vertices": ["v0"]},
@@ -400,7 +422,7 @@ class TestMalformedInputs:
              "entries": [{"vertex": ["v0"], "covered": [], "choose": "v0"}]},
             {"kind": "strategy", "m": 1, "budget": -1, "entries": []},
         ],
-        ids=["missing-keys", "unknown-vertex", "missing-remaining",
+        ids=["missing-keys", "unknown-vertex", "repeated-budgeted-key",
              "covered-not-a-list", "string-m", "vertex-not-a-name",
              "negative-budget"],
     )

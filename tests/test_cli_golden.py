@@ -1,5 +1,6 @@
 """Recorded CLI outputs on the demo models: stdout and exit code of
-`solve`, `bounded` and `recurrent` under --json must not change.
+`solve`, `bounded` and `recurrent` under --json must not change, and
+each witness and certificate recorded there must pass `certify`.
 
 `cli_golden.json` maps each command line (model file name first, then
 the arguments) to the exit code and stdout recorded for it. To record
@@ -53,6 +54,27 @@ def test_output_matches_recording(cmd):
 
 def test_recording_covers_every_command():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(" ".join(c) for c in commands())
+
+
+def recorded_witnesses() -> list:
+    """Each non-null witness and certificate in the recording, with the
+    model it was solved on."""
+    found = []
+    for cmd, rec in sorted(json.loads(GOLDEN.read_text()).items()):
+        out = json.loads(rec["stdout"])
+        for field in ("witness", "certificate"):
+            if out.get(field) is not None:
+                found.append(pytest.param(cmd.split()[0], out[field], id=f"{cmd} {field}"))
+    return found
+
+
+@pytest.mark.parametrize("name, witness", recorded_witnesses())
+def test_recorded_witnesses_certify(tmp_path, name, witness):
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(witness))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["certify", str(MODELS / name), "--witness", str(path)])
+    assert code == 0
 
 
 if __name__ == "__main__":

@@ -27,9 +27,17 @@ from covgame import (
     strategy_covers,
     verify_end_component_witness,
 )
+from covgame import TesterStrategy as Strategy  # a Test* name would be collected
 from covgame import game_cover
 from covgame.game_cover import _Product
-from genmodels import random_game, random_recurrent_game, sparse_random_game, wide_games
+from genmodels import (
+    diamond_game,
+    random_game,
+    random_recurrent_game,
+    sparse_random_game,
+    wide_games,
+)
+from test_acceptance import exhaustive_playout_depth
 
 
 def erase_owners_to_graph(g):
@@ -308,19 +316,19 @@ class TestBoundedCoverageGame:
 
 
 def reached_tester_states(g, strategy, m) -> int:
-    """The tester states that the plays from the initial state reach
-    under `strategy` before covering m or running out of steps: a
-    depth-first walk that follows the strategy at tester states and every
-    successor at system states."""
+    """The distinct tester states (v, b) that the plays from the initial
+    state reach under `strategy` before covering m or running out of
+    steps: a depth-first walk that follows the strategy at tester states
+    and every successor at system states."""
     start = (g.initial, g.labels[g.initial], strategy.budget)
-    seen, stack, count = {start}, [start], 0
+    seen, stack, tester = {start}, [start], set()
     while stack:
         v, b, left = stack.pop()
         if b.bit_count() >= m or left == 0:
             continue
         if g.owner[v] == PLAYER1:
-            count += 1
-            nexts = [strategy.choose(v, b, left)]
+            tester.add((v, b))
+            nexts = [strategy.choose(v, b)]
         else:
             nexts = g.succ[v]
         for u in nexts:
@@ -328,7 +336,7 @@ def reached_tester_states(g, strategy, m) -> int:
             if child not in seen:
                 seen.add(child)
                 stack.append(child)
-    return count
+    return len(tester)
 
 
 class TestStrategies:
@@ -382,6 +390,50 @@ class TestStrategies:
         g = sparse_random_game(4)
         strategy = max_coverage_game(g, 7).strategy
         assert len(strategy.moves) == reached_tester_states(g, strategy, 7) == 69
+
+    @pytest.mark.parametrize("d, tester_chains", [(8, True), (12, False)])
+    def test_diamond_strategy_has_one_move_per_state(self, d, tester_chains):
+        # plays reach each chain vertex after up to 2^d numbers of steps;
+        # a move keyed by the steps left would be emitted once per count
+        g = diamond_game(d, tester_chains)
+        assert g.n == 2**d + d
+        ans = bounded_coverage_game(g, 1, g.n)
+        assert ans.value == 1 and ans.strategy.budget == g.n
+        assert len(ans.strategy.moves) == (2**d - 1 if tester_chains else 0)
+        longest = 2**d - 1 + d
+        assert strategy_covers(g, Strategy(ans.strategy.moves, longest), 1)
+        assert not strategy_covers(g, Strategy(ans.strategy.moves, longest - 1), 1)
+
+    def test_budgeted_check_agrees_with_playouts(self):
+        # bounded strategies with some moves redirected or dropped, at
+        # budgets around the cap and just below the longest play: the
+        # check passes exactly when every play, stepped with its steps
+        # left, covers m within the budget
+        rng = random.Random(101)
+        verdicts = []
+        for _ in range(60):
+            g = random_game(rng, 8, 4)
+            deepest = g.n * (len(g.ap) + 1)
+            for m in range(1, len(g.ap) + 1):
+                for k in (2, 4, 8):
+                    ans = bounded_coverage_game(g, m, k)
+                    if not (ans.decision and ans.strategy.moves):
+                        continue
+                    moves = dict(ans.strategy.moves)
+                    for v, b in list(moves):
+                        if rng.random() < 0.3:
+                            moves[(v, b)] = rng.choice(g.succ[v])
+                        elif rng.random() < 0.05:
+                            del moves[(v, b)]
+                    cap = ans.strategy.budget
+                    longest = exhaustive_playout_depth(g, Strategy(moves), m) or 1
+                    for budget in (None, cap - 1, cap, min(cap + 3, deepest), longest - 1):
+                        strategy = Strategy(moves, budget)
+                        depth = exhaustive_playout_depth(g, strategy, m)
+                        want = depth is not None and (budget is None or depth <= budget)
+                        assert strategy_covers(g, strategy, m) == want
+                        verdicts.append(want)
+        assert verdicts.count(True) > 50 and verdicts.count(False) > 50
 
     def test_broken_strategy_detected(self, adversarial_game):
         from covgame import TesterStrategy
