@@ -19,7 +19,6 @@ from .errors import BudgetExceededError, CoverageError, FormatError
 from .game_cover import (
     GameAnswer,
     TesterStrategy,
-    _return_check,
     bounded_coverage_game,
     coverage_value_game,
     is_controllably_recurrent_game,
@@ -32,11 +31,13 @@ from .graph_cover import (
     bounded_coverage_graph,
     coverage_value_graph,
     max_coverage_graph,
+    max_coverage_recurrent_graph,
 )
 from .model import (
     PLAYER1,
     LabeledGameGraph,
     SystemAutomaton,
+    _is_int,
     check_target,
     compile_system,
     cover_of,
@@ -171,21 +172,14 @@ def _cmd_solve(args) -> int:
         raise FormatError("use --m or --value, not both" if args.value else "--m is required here")
     model, out = _load_playable(args)
     is_game = isinstance(model, LabeledGameGraph)
-    keep = not args.low_memory
     if args.value:
-        if is_game:
-            ans = coverage_value_game(model, want_strategy=keep)
-        else:
-            ans = coverage_value_graph(model, want_witness=keep)
+        ans = coverage_value_game(model) if is_game else coverage_value_graph(model)
         out["value"] = ans.value
         out["witness"] = _witness_obj(model, ans, ans.value)
         _emit(args, out, [f"value: {ans.value}"] + _witness_lines(out["witness"]))
         return 0
     m = out["m"] = args.m
-    if is_game:
-        ans = max_coverage_game(model, m, want_strategy=keep)
-    else:
-        ans = max_coverage_graph(model, m, want_witness=keep)
+    ans = max_coverage_game(model, m) if is_game else max_coverage_graph(model, m)
     out["decision"] = ans.decision
     out["witness"] = _witness_obj(model, ans, m)
     out["certificate"] = None if ans.decision else _no_certificate(model, m)
@@ -200,16 +194,16 @@ def _cmd_bounded(args) -> int:
     model, out = _load_playable(args)
     m = args.m
     out.update(m=m, k=args.k)
-    keep = not args.low_memory
     if isinstance(model, LabeledGameGraph):
-        ans = bounded_coverage_game(model, m, args.k, want_strategy=keep)
+        ans = bounded_coverage_game(model, m, args.k)
     else:
-        ans = bounded_coverage_graph(model, m, args.k, want_witness=keep)
+        ans = bounded_coverage_graph(model, m, args.k)
     witness = _witness_obj(model, ans, m)
     if ans.value is not None:
         out["value"] = ans.value
     if witness is not None and witness["kind"] == "path":
         out["steps_used"] = witness["steps"]
+        witness["budget"] = args.k
     out["decision"] = ans.decision
     out["witness"] = witness
     lines = [f"decision: {'yes' if ans.decision else 'no'}"]
@@ -220,16 +214,14 @@ def _cmd_bounded(args) -> int:
 
 def _cmd_recurrent(args) -> int:
     model, out = _load_playable(args)
-    reach, stray = _return_check(model, want_reach=not isinstance(model, LabeledGameGraph))
-    recurrent = stray is None
+    recurrent, stray = is_controllably_recurrent_game(model)
     out["recurrent"] = recurrent
     out["counterexample"] = None if stray is None else model.names[stray]
     lines = [f"controllably recurrent: {'yes' if recurrent else 'no'}"]
     if stray is not None:
         lines.append(f"counterexample: {model.names[stray]} cannot be forced back")
     if recurrent and not isinstance(model, LabeledGameGraph):
-        # recurrence puts every reachable vertex on one sweep from v_in
-        out["value"] = cover_of(model, reach).bit_count()
+        out["value"] = max_coverage_recurrent_graph(model)
         lines.append(f"value (component fast path): {out['value']}")
     _emit(args, out, lines)
     return 0 if recurrent else 1
@@ -275,13 +267,18 @@ def _cmd_certify(args) -> int:
         raise FormatError("witness file does not contain a checkable object")
     m = args.m if args.m is not None else inner.get("m")
     if m is not None:
-        if not isinstance(m, int) or isinstance(m, bool):
+        if not _is_int(m):
             raise FormatError(f"witness target m={m!r} is not an integer")
         check_target(model, m)
     kind = inner["kind"]
     if kind == "path":
         path = _witness_vertices(model, inner)
+        budget = inner.get("budget")
+        if budget is not None and not (_is_int(budget) and budget >= 0):
+            raise FormatError("path budget must be a non-negative integer")
         valid = path_check(model, path) and _forced(model, path)
+        if valid and budget is not None:
+            valid = len(path) - 1 <= budget
         if valid and m is not None:
             valid = cover_of(model, path).bit_count() >= m
     elif kind == "strategy":
@@ -355,11 +352,6 @@ def _parser() -> argparse.ArgumentParser:
         "--patch-self-loops",
         action="store_true",
         help="add a self-loop to each sink before solving (recorded in the output)",
-    )
-    shared.add_argument(
-        "--low-memory",
-        action="store_true",
-        help="omit witnesses and strategies",
     )
 
     parser = argparse.ArgumentParser(

@@ -37,9 +37,8 @@ ends, in at most 2^(min(k, |AP|)+1) passes for k distinct label sets.
 
 Controllable recurrence is the tester's attractor of the initial vertex,
 one linear pass with no product; a forward sweep runs only when that
-attractor misses a vertex or the caller wants the reachable set. A plain
-LabeledGraph is the game the tester owns entirely, so graph recurrence
-in graph_cover is this check.
+attractor misses a vertex. A plain LabeledGraph is the game the tester
+owns entirely, so graph recurrence in graph_cover is this check.
 """
 
 from __future__ import annotations
@@ -49,17 +48,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    ApCapExceededError,
-    BudgetExceededError,
-    FormatError,
-    NotRecurrentError,
-)
+from .errors import ApCapExceededError, FormatError, NotRecurrentError
 from .model import (
     DEFAULT_AP_CAP,
     PLAYER1,
     LabeledGameGraph,
     LabeledGraph,
+    _is_int,
     _masker,
     _predecessors,
     _reachable,
@@ -126,16 +121,11 @@ class TesterStrategy:
         return cls(moves, budget)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class GameAnswer:
     """Outcome of a game coverage query. `value` is set by value queries
     and by the bounded solver (the largest coverage the tester forces
-    within k steps); the strategy is present on yes answers unless
-    suppressed."""
+    within k steps); every yes answer carries its strategy."""
 
     decision: bool
     value: int | None = None
@@ -311,7 +301,7 @@ def _strategy(
     return TesterStrategy(moves, budget)
 
 
-def _decide(traps: "_Traps", m: int, want_strategy: bool) -> GameAnswer:
+def _decide(traps: "_Traps", m: int) -> GameAnswer:
     """The decision at m over the product whose states covering >= m
     are winning leaves and whose confined states are losing ones. The
     states covering m - 1 are leaves as well: one more proposition wins,
@@ -334,16 +324,10 @@ def _decide(traps: "_Traps", m: int, want_strategy: bool) -> GameAnswer:
     via = _attractor(prod.pending, prod.pred, prod.player1, seeds)
     if via[0] is None:
         return GameAnswer(False)
-    return GameAnswer(True, strategy=_strategy(traps.g, prod, via, m, exits) if want_strategy else None)
+    return GameAnswer(True, strategy=_strategy(traps.g, prod, via, m, exits))
 
 
-def max_coverage_game(
-    g: LabeledGameGraph,
-    m: int,
-    *,
-    want_strategy: bool = True,
-    ap_cap: int = DEFAULT_AP_CAP,
-) -> GameAnswer:
+def max_coverage_game(g: LabeledGameGraph, m: int, *, ap_cap: int = DEFAULT_AP_CAP) -> GameAnswer:
     """Can the tester force >= m distinct propositions to be visited,
     no matter how the system plays? Above the safety bound, NO at once."""
     _check_game(g, ap_cap)
@@ -351,15 +335,10 @@ def max_coverage_game(
     traps = _Traps(g)
     if m > _safety_bound(traps):
         return GameAnswer(False)
-    return _decide(traps, m, want_strategy)
+    return _decide(traps, m)
 
 
-def coverage_value_game(
-    g: LabeledGameGraph,
-    *,
-    want_strategy: bool = True,
-    ap_cap: int = DEFAULT_AP_CAP,
-) -> GameAnswer:
+def coverage_value_game(g: LabeledGameGraph, *, ap_cap: int = DEFAULT_AP_CAP) -> GameAnswer:
     """Largest enforceable coverage: the first YES among the decisions
     at t = ub, ub - 1, ..., |L(v_in)| + 1 below the safety bound ub, or
     |L(v_in)| with the empty strategy when every one says NO."""
@@ -367,10 +346,10 @@ def coverage_value_game(
     traps = _Traps(g)
     base = g.labels[g.initial].bit_count()
     for t in range(_safety_bound(traps), base, -1):
-        ans = _decide(traps, t, want_strategy)
+        ans = _decide(traps, t)
         if ans.decision:
             return GameAnswer(True, value=t, strategy=ans.strategy)
-    return GameAnswer(True, value=base, strategy=TesterStrategy({}) if want_strategy else None)
+    return GameAnswer(True, value=base, strategy=TesterStrategy({}))
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +357,7 @@ def coverage_value_game(
 
 
 def bounded_coverage_game(
-    g: LabeledGameGraph,
-    m: int,
-    k: int,
-    *,
-    want_strategy: bool = True,
-    ap_cap: int = DEFAULT_AP_CAP,
+    g: LabeledGameGraph, m: int, k: int, *, ap_cap: int = DEFAULT_AP_CAP
 ) -> GameAnswer:
     """Largest coverage the tester can force within k steps, decided
     against m: the first t = |AP|, |AP| - 1, ..., |L(v_in)| + 1 whose
@@ -416,8 +390,7 @@ def bounded_coverage_game(
             break
     if value < m:
         return GameAnswer(False, value=value)
-    strategy = _strategy(g, prod, via, m, {}, cap) if want_strategy else None
-    return GameAnswer(True, value=value, strategy=strategy)
+    return GameAnswer(True, value=value, strategy=_strategy(g, prod, via, m, {}, cap))
 
 
 def strategy_covers(g: LabeledGameGraph, strategy: TesterStrategy, m: int) -> bool:
@@ -429,16 +402,11 @@ def strategy_covers(g: LabeledGameGraph, strategy: TesterStrategy, m: int) -> bo
     post-order, each state's longest play to m. A play that revisits a
     state before the goal would cycle below m forever, so any such
     cycle, or a missing or illegal tester move, fails the check; with a
-    budget, so does an initial state whose longest play exceeds it. A
-    budget past the deepest bounded search, |V| * (|AP| + 1), raises
-    BudgetExceededError.
+    budget, so does an initial state whose longest play exceeds it. The
+    cost is one visit per (v, b) state, whatever the budget.
     """
     require_valid(g)
     check_target(g, m)
-    if strategy.budget is not None and strategy.budget > (deepest := g.n * (len(g.ap) + 1)):
-        raise BudgetExceededError(
-            f"strategy budget {strategy.budget} exceeds |V| * (|AP| + 1) = {deepest}"
-        )
     n, labels, succ, owner = g.n, g.labels, g.succ, g.owner
     OPEN = -1
     longest: dict[int, int] = {}  # state key b * n + v -> its longest play to m, or OPEN
@@ -480,22 +448,20 @@ def is_controllably_recurrent_game(g: LabeledGraph) -> tuple[bool, int | None]:
     the smallest reachable vertex outside the return attractor. A plain
     LabeledGraph is the game the tester owns entirely: it is recurrent
     iff every reachable vertex has a path back."""
-    stray = _return_check(g)[1]
+    stray = _return_check(g)
     return stray is None, stray
 
 
-def _return_check(g: LabeledGraph, want_reach: bool = False) -> tuple[list[int] | None, int | None]:
-    """The vertices reachable from the initial vertex in BFS order, and
-    the smallest of them outside the tester's attractor of the initial
-    vertex (None when there is none). Linear in |V| + |E|. A stray lies
-    outside the attractor, so the forward sweep runs only when some vertex
-    does, or when `want_reach` is set; otherwise reach is None."""
+def _return_check(g: LabeledGraph) -> int | None:
+    """The smallest vertex reachable from the initial vertex that lies
+    outside the tester's attractor of it, or None when there is none.
+    Linear in |V| + |E|. A stray lies outside the attractor, so the
+    forward sweep runs only when some vertex does."""
     require_valid(g)
     inside = _attractor(*_arena(g), [g.initial])
-    if not want_reach and None not in inside:
-        return None, None
-    reach = _reachable(g.succ, g.initial)
-    return reach, min([v for v in reach if inside[v] is None], default=None)
+    if None not in inside:
+        return None
+    return min([v for v in _reachable(g.succ, g.initial) if inside[v] is None], default=None)
 
 
 def _arena(g: LabeledGraph):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import NotRecurrentError
 from .game_cover import _return_check
-from .model import LabeledGraph, check_target, cover_of, require_valid
+from .model import LabeledGraph, _reachable, check_target, cover_of, require_valid
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,7 @@ class GraphAnswer:
 
     For decision queries `value` stays None; coverage_value_graph fills
     it with the attained maximum. `witness` is a vertex-id path starting
-    at the initial vertex, absent for no-instances and in witnessless
-    (low-memory) mode.
+    at the initial vertex, present on every yes answer.
     """
 
     decision: bool
@@ -92,11 +91,10 @@ def _reach_labels(g) -> list[int]:
     return reach
 
 
-def _product_search(g, m, cap, want_witness):
+def _product_search(g, m, cap):
     """BFS the (vertex, covered) product, at most `cap` edges deep (no
     cap when None). Returns the coverage of the first state of greatest
-    coverage and the path to it (None unless want_witness). The parent
-    map doubles as the seen set.
+    coverage and the path to it. The parent map doubles as the seen set.
 
     A decision query (m set) stops at the first state covering >= m; a
     value query (m None) stops at R[v_in], the most any path can cover.
@@ -131,11 +129,11 @@ def _product_search(g, m, cap, want_witness):
                 if count > most:
                     best, most = s, count
                     if most >= target:
-                        return most, _path(parent, best) if want_witness else None
+                        return most, _path(parent, best)
                     floor = max(floor, most)
                 nxt.append(s)
         frontier = nxt
-    return most, _path(parent, best) if want_witness else None
+    return most, _path(parent, best)
 
 
 def _path(parent, state):
@@ -147,22 +145,20 @@ def _path(parent, state):
     return tuple(path)
 
 
-def _decide(g, m, cap, want_witness):
-    most, witness = _product_search(g, m, cap, want_witness)
+def _decide(g, m, cap):
+    most, witness = _product_search(g, m, cap)
     return GraphAnswer(True, witness=witness) if most >= m else GraphAnswer(False)
 
 
-def max_coverage_graph(g: LabeledGraph, m: int, *, want_witness: bool = True) -> GraphAnswer:
+def max_coverage_graph(g: LabeledGraph, m: int) -> GraphAnswer:
     """Can some path from the initial vertex visit >= m distinct
     propositions? Witnesses are at most m * |V| edges long."""
     require_valid(g)
     check_target(g, m)
-    return _decide(g, m, None, want_witness)
+    return _decide(g, m, None)
 
 
-def bounded_coverage_graph(
-    g: LabeledGraph, m: int, k: int, *, want_witness: bool = True
-) -> GraphAnswer:
+def bounded_coverage_graph(g: LabeledGraph, m: int, k: int) -> GraphAnswer:
     """Can >= m propositions be covered within k steps (k+1 vertices)?
 
     The search depth is capped at min(k, m * |V|): a witness cycling
@@ -171,22 +167,22 @@ def bounded_coverage_graph(
     """
     require_valid(g)
     check_target(g, m, k)
-    return _decide(g, m, min(k, m * g.n), want_witness)
+    return _decide(g, m, min(k, m * g.n))
 
 
-def coverage_value_graph(g: LabeledGraph, *, want_witness: bool = True) -> GraphAnswer:
+def coverage_value_graph(g: LabeledGraph) -> GraphAnswer:
     """Largest m for which max_coverage_graph says yes, with a witness
     attaining it. One product BFS, which stops early once a state covers
     every proposition on the reachable vertices."""
     require_valid(g)
-    most, witness = _product_search(g, None, None, want_witness)
+    most, witness = _product_search(g, None, None)
     return GraphAnswer(True, value=most, witness=witness)
 
 
 def is_controllably_recurrent_graph(g: LabeledGraph) -> tuple[bool, int | None]:
     """The verdict, and the smallest reachable vertex with no path back to
     the initial vertex: recurrence of the game the tester owns entirely."""
-    stray = _return_check(g)[1]
+    stray = _return_check(g)
     return stray is None, stray
 
 
@@ -198,9 +194,9 @@ def max_coverage_recurrent_graph(g: LabeledGraph) -> int:
     whole reachable set and the value is just its label-union size.
     Otherwise NotRecurrentError names the smallest stray vertex.
     """
-    reach, stray = _return_check(g, want_reach=True)
+    stray = _return_check(g)
     if stray is not None:
         raise NotRecurrentError(
             f"vertex {g.names[stray]!r} is reachable but cannot return to the initial vertex"
         )
-    return cover_of(g, reach).bit_count()
+    return cover_of(g, _reachable(g.succ, g.initial)).bit_count()

@@ -59,6 +59,11 @@ def _masker(ap: Sequence[str]):
     return mask
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool: JSON's true decodes to one."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Violation:
     """One structural defect found by validate()."""

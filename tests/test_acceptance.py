@@ -92,7 +92,7 @@ def game_records():
         for m in range(min(3, len(g.ap)) + 1):
             omax = oracle.brute_force_game(g, m)
             amax = max_coverage_game(g, m)
-            saturated = bounded_coverage_game(g, m, horizon, want_strategy=False)
+            saturated = bounded_coverage_game(g, m, horizon)
             ks = [
                 (k, oracle.brute_force_game(g, m, k), bounded_coverage_game(g, m, k))
                 for k in K_RANGE
@@ -271,7 +271,7 @@ def test_criterion_6_reduction_correctness():
         phi = random_qbf(rng, max_vars=4, max_clauses=6)
         res = qbf_to_game(phi)
         assert (
-            max_coverage_game(res.model, res.target_m, want_strategy=False).decision
+            max_coverage_game(res.model, res.target_m).decision
             == oracle.qbf_eval_brute(phi)
         )
 
@@ -291,7 +291,7 @@ def test_criterion_6_reduction_correctness():
     for h in itertools.chain(_all_undirected_graphs(5), extras):
         res = vc_to_game(h)
         assert (
-            coverage_value_game(res.model, want_strategy=False).value
+            coverage_value_game(res.model).value
             == oracle.min_vertex_cover_brute(h) + 1
         )
         assert is_controllably_recurrent_game(res.model)[0]

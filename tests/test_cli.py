@@ -1,5 +1,7 @@
 """Command-line front end: exit codes, output schemas, and pipelines."""
 
+import ast
+import inspect
 import json
 import os
 import random
@@ -13,8 +15,14 @@ from covgame import (
     LabeledGameGraph,
     LabeledGraph,
     SystemAutomaton,
+    bounded_coverage_game,
+    bounded_coverage_graph,
+    coverage_value_game,
+    coverage_value_graph,
     formats,
     is_controllably_recurrent_game,
+    max_coverage_game,
+    max_coverage_graph,
 )
 from covgame.cli import _parser, main
 from genmodels import wide_games
@@ -118,13 +126,6 @@ class TestSolve:
         assert code == 0
         payload = json.loads(out)
         assert payload["kind"] == "game" and payload["compiled"]
-
-    def test_low_memory_drops_witness(self, capsys, triangle_file):
-        code, out = run_cli(
-            capsys, "solve", triangle_file, "--m", "3", "--low-memory", "--json"
-        )
-        assert code == 0
-        assert json.loads(out)["witness"] is None
 
     def test_no_certificate_on_recurrent_game(self, capsys, tmp_path):
         # a spare proposition makes m=4 a legal but unattainable target
@@ -324,6 +325,20 @@ class TestCertify:
         witness = write(tmp_path, out, "bounded_strategy.json")
         assert main(["certify", game_file, "--witness", witness]) == 0
 
+    def test_bounded_path_within_its_budget(self, capsys, tmp_path):
+        model = str(DEMO_MODELS / "triangle.cov")
+        _, out = run_cli(capsys, "bounded", model, "--m", "3", "--k", "2", "--json")
+        payload = json.loads(out)
+        assert payload["witness"]["budget"] == 2
+        witness = write(tmp_path, out, "witness.json")
+        assert main(["certify", model, "--witness", witness]) == 0
+        capsys.readouterr()
+        # a b c a b c a b c is a path covering all three, in 8 steps
+        payload["witness"]["vertices"] *= 3
+        witness = write(tmp_path, json.dumps(payload), "long.json")
+        assert main(["certify", model, "--witness", witness]) == 1
+        assert "INVALID" in capsys.readouterr().out
+
     def test_end_component_certificate(self, capsys, tmp_path):
         g = LabeledGameGraph.make_game(
             ["p", "q", "r", "zz"],
@@ -506,6 +521,13 @@ class TestMalformedInputs:
         path = write(tmp_path, json.dumps(obj), "game.cov")
         self.assert_usage_error(capsys, ["solve", path, "--m", "1"])
 
+    @pytest.mark.parametrize("budget", [-1, "2", True], ids=["negative", "string", "bool"])
+    def test_path_budget_not_a_count(self, capsys, tmp_path, budget):
+        witness = {"kind": "path", "m": 3, "budget": budget, "vertices": ["a", "b", "c"]}
+        path = write(tmp_path, json.dumps(witness), "witness.json")
+        model = str(DEMO_MODELS / "triangle.cov")
+        self.assert_usage_error(capsys, ["certify", model, "--witness", path])
+
     @pytest.mark.parametrize(
         "model, witness",
         [
@@ -563,7 +585,8 @@ class TestVerify:
 
 class TestBudgetExceeded:
     """Inputs that would take memory beyond any answer's need: exit 3
-    and one `error:` line, before anything large is built."""
+    and one `error:` line, before anything large is built. A strategy's
+    step budget is not one: its check visits each (v, b) state once."""
 
     @staticmethod
     def assert_budget_error(capsys, argv):
@@ -572,8 +595,8 @@ class TestBudgetExceeded:
         assert err.startswith("error:") and "Traceback" not in err
 
     def test_strategy_budget_past_the_bounded_depth(self, capsys, tmp_path):
-        # the check keeps a state per step, and no bounded search of this
-        # game goes past |V| * (|AP| + 1) = 4 steps
+        # a budget far past |V| * (|AP| + 1) = 4 steps is checked like any
+        # other: the empty strategy loses to the system's self-loop at s
         game = {
             "ap": ["p"],
             "initial": "s",
@@ -584,7 +607,17 @@ class TestBudgetExceeded:
         witness = {"kind": "strategy", "budget": 100_000_000, "entries": [], "m": 1}
         model = write(tmp_path, json.dumps(game), "game.cov")
         path = write(tmp_path, json.dumps(witness), "witness.json")
-        self.assert_budget_error(capsys, ["certify", model, "--witness", path])
+        assert main(["certify", model, "--witness", path]) == 1
+        assert "witness INVALID" in capsys.readouterr().out
+
+    def test_large_budget_on_a_winning_strategy(self, capsys, tmp_path):
+        model = str(DEMO_MODELS / "handshake.game.cov")
+        _, out = run_cli(capsys, "bounded", model, "--m", "2", "--k", "5", "--json")
+        payload = json.loads(out)
+        payload["witness"]["budget"] = 100_000_000
+        path = write(tmp_path, json.dumps(payload), "witness.json")
+        assert main(["certify", model, "--witness", path]) == 0
+        assert "witness valid" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "reduction, text",
@@ -599,6 +632,37 @@ class TestBudgetExceeded:
     def test_dimacs_variable_count_past_the_cap(self, capsys, tmp_path, reduction, text):
         path = write(tmp_path, text, "phi.txt")
         self.assert_budget_error(capsys, ["gadget", reduction, path])
+
+
+class TestOneWayToAsk:
+    """Every yes answer carries its witness: no keyword or flag drops it."""
+
+    @pytest.mark.parametrize(
+        "solver",
+        [max_coverage_game, coverage_value_game, bounded_coverage_game,
+         max_coverage_graph, bounded_coverage_graph, coverage_value_graph],
+        ids=lambda f: f.__name__,
+    )
+    def test_no_switch_drops_the_witness(self, solver):
+        params = inspect.signature(solver).parameters
+        assert not [p for p in params if p.startswith("want_")]
+
+    def test_low_memory_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(DEMO_MODELS / "triangle.cov"), "--m", "1", "--low-memory"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --low-memory" in capsys.readouterr().err
+
+    def test_cli_uses_only_public_solver_names(self):
+        tree = ast.parse(Path(SRC, "covgame", "cli.py").read_text())
+        private = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module in ("game_cover", "graph_cover")
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert private == []
 
 
 class TestDeterminism:

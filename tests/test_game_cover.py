@@ -234,19 +234,6 @@ class TestBoundedCoverageGame:
                         == oracle.brute_force_game(g, m, k)
                     )
 
-    def test_low_memory_mode_agrees(self):
-        # what the CLI's --low-memory asks for: the same answer, no strategy
-        rng = random.Random(71)
-        for _ in range(40):
-            g = random_game(rng)
-            m = rng.randint(0, len(g.ap))
-            k = rng.randint(0, 6)
-            fast = bounded_coverage_game(g, m, k)
-            lean = bounded_coverage_game(g, m, k, want_strategy=False)
-            assert fast.decision == lean.decision
-            assert fast.value == lean.value
-            assert lean.strategy is None
-
     def test_value_is_the_attractor_rank(self, built_products):
         # the system at r picks the head of a five-step tester chain to
         # the only label; every state lies within two steps of r, so the
@@ -276,7 +263,7 @@ class TestBoundedCoverageGame:
             assert len(_Product(g, len(g.ap))) == size
             for k in (20, 200):
                 built_products.clear()
-                bounded_coverage_game(g, len(g.ap), k, want_strategy=False)
+                bounded_coverage_game(g, len(g.ap), k)
                 assert [len(p) for p in built_products] == [size]
 
     def test_deep_budgets_saturate_to_attractor(self):
@@ -288,12 +275,12 @@ class TestBoundedCoverageGame:
             horizon = g.n * (len(g.ap) + 1)
             for m in range(len(g.ap) + 1):
                 assert (
-                    bounded_coverage_game(g, m, 7, want_strategy=False).decision
+                    bounded_coverage_game(g, m, 7).decision
                     == oracle.brute_force_game(g, m, 7)
                 )
                 assert (
-                    bounded_coverage_game(g, m, horizon, want_strategy=False).decision
-                    == max_coverage_game(g, m, want_strategy=False).decision
+                    bounded_coverage_game(g, m, horizon).decision
+                    == max_coverage_game(g, m).decision
                 )
 
     def test_solver_leaves_recursion_limit_alone(self, monkeypatch):

@@ -55,16 +55,6 @@ class TestMaxCoverage:
         with pytest.raises(InvalidModelError):
             max_coverage_graph(g, 1)
 
-    def test_low_memory_mode_matches(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            g = random_graph(rng)
-            m = rng.randint(0, len(g.ap))
-            lean = max_coverage_graph(g, m, want_witness=False)
-            full = max_coverage_graph(g, m)
-            assert lean.decision == full.decision
-            assert lean.witness is None
-
 
 class TestCoverageValue:
     def test_examples(self, triangle, branch_graph):

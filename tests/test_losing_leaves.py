@@ -219,7 +219,7 @@ def test_decisions_meet_their_pass_bound(monkeypatch):
         for m in ms:
             bound = pass_bound(g, m)
             passes.clear()
-            max_coverage_game(g, m, want_strategy=False)
+            max_coverage_game(g, m)
             assert len(passes) <= bound, (m, len(passes), bound)
 
 

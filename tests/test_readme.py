@@ -2,6 +2,7 @@
 the commands of "A pipeline, end to end" through `cli.main`, checked
 against the output each `# ...` comment line promises."""
 
+import argparse
 import contextlib
 import io
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from covgame.cli import main
+from covgame.cli import _parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -62,3 +63,26 @@ def test_pipeline_runs(tmp_path, monkeypatch):
             written[target] = str(tmp_path / target)
             Path(written[target]).write_text(out)
     assert checked == ["value: 3", "witness valid"]
+
+
+def command_line_flags() -> set[str]:
+    section = re.search(r"^## Command line\n(.*?)^## ", README, re.M | re.S)[1]
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+
+
+def parser_options() -> tuple[set[str], set[str]]:
+    """The long options some subcommand defines, and those every one does
+    (the shared parent parser's), apart from --help."""
+    subs = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    per_command = [
+        {s for a in p._actions if a.dest != "help" for s in a.option_strings if s.startswith("--")}
+        for p in subs.choices.values()
+    ]
+    return set.union(*per_command), set.intersection(*per_command)
+
+
+def test_command_line_flags_match_the_parser():
+    named = command_line_flags()
+    defined, shared = parser_options()
+    assert named - defined == set(), "README names flags no subcommand defines"
+    assert shared - named == set(), "README omits flags every subcommand takes"
