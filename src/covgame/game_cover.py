@@ -22,6 +22,16 @@ d = |used| - (m - 1) live propositions from the used ones, so a decision
 takes at most C(|live|, d) + 2|AP| + 1 passes. The value is the first
 YES among the decisions at t = ub, ub - 1, ..., |L(v_in)| + 1.
 
+The attractor grows with the product, in the manner of Liu and Smolka's
+local fixed points with the build kept breadth first (`_Product`): each
+new state is classified once as a seed, a parked losing leaf or a state
+to expand; a seed, and each edge added into the attractor, pulls the
+edge's source in at once, and a decision stops building when the initial
+state enters. The decisions of a value query share one product: lowering
+the goal re-classifies only the parked leaves, as a covered set's
+confined vertices at t lie within those at t + 1, so each (v, b) is
+built once per query.
+
 Bounded coverage is that game within k steps: its answer is the
 attractor rank of the initial state, the fewest rounds in which the
 tester forces the goal. One pass per goal {covered >= t} over the
@@ -157,106 +167,173 @@ def _check_game(g: LabeledGameGraph, ap_cap: int) -> None:
 
 class _Product:
     """Reachable part of the (vertex, covered) product, built breadth
-    first from (v_in, L(v_in)); only reachable states are materialized,
-    and leaves are never expanded.
+    first from (v_in, L(v_in)) and attracted while it is built.
 
     State i is the pair (vert[i], cov[i]); state 0 is the initial state.
     The lookup key of a state is the integer cov * n + v, so no tuple is
     made per state; `index` maps keys to states. Predecessor rows are
-    filled during the build, in ascending source order, and `pending`
-    holds each state's out-degree.
+    filled as edges are added. `pending[i]` counts the successors that
+    must be attracted before state i is (one at a tester state, all at a
+    system state), and `via[i]` is the state that pulled i in (None
+    outside; a seed holds itself).
 
-    One dict lookup per state finds the leaf vertices of its covered
-    set b (see `_Leaves`): all of V when |b| >= `settled`, else those
-    that `confined(b)` proves confined below the caller's goal. A leaf
-    enters the attractor only as a seed, so an unseeded leaf is a losing
-    one. With a depth `cap` the states at BFS distance `cap` are leaves
-    too; each state appears once, at its shortest distance.
+    `grow(leaves)` classifies each new state once by the rule `leaves`
+    (`_Leaves`): it is seeded, parked as a leaf, or expanded. A seed, and
+    each edge added into a state already attracted, pulls the edge's
+    source at once through `_attract`, so `via` always holds the
+    attractor of the product built so far, and the build stops when
+    state 0 enters. An expanded tester state stops expanding once it is
+    pulled in: its move is known. After a NO, `grow` with a lower goal's
+    rule resumes the same product: only the parked states are classified
+    again (seeded, left parked or expanded), and each (v, b) is built
+    once per product.
     """
 
-    __slots__ = ("vert", "cov", "pred", "pending", "player1", "index")
+    __slots__ = ("g", "need", "vert", "cov", "pred", "pending", "via", "index", "parked")
 
-    def __init__(self, g: LabeledGameGraph, settled: int, cap: int | None = None, confined=None):
-        n, labels, succ = g.n, g.labels, g.succ
-        v0 = g.initial
-        vert, cov = [v0], [labels[v0]]
-        index = {labels[v0] * n + v0: 0}
-        pred: list[list[int]] = [[]]
-        leaves = _Leaves(n, settled, confined)
-        lo, hi, depth = 0, 1, 0  # the states of BFS depth `depth` are lo .. hi - 1
-        while lo < hi and depth != cap:
-            for i, v in enumerate(vert[lo:hi], lo):
-                b = cov[i]
-                if v in leaves[b]:
-                    continue
-                for u in succ[v]:
-                    c = b | labels[u]
-                    key = c * n + u
-                    j = index.get(key)
-                    if j is None:
-                        index[key] = len(vert)
-                        vert.append(u)
-                        cov.append(c)
-                        pred.append([i])
-                    else:
-                        pred[j].append(i)
-            lo, hi, depth = hi, len(vert), depth + 1
-        degree = [len(row) for row in succ]
-        player1 = [who == PLAYER1 for who in g.owner]
-        self.vert = vert
-        self.cov = cov
-        self.pred = pred
-        self.pending = [degree[v] for v in vert]
-        self.player1 = [player1[v] for v in vert]
-        self.index = index
+    def __init__(self, g: LabeledGameGraph):
+        v0, b0 = g.initial, g.labels[g.initial]
+        self.g, self.need = g, _needs(g)
+        self.vert, self.cov, self.pred = [v0], [b0], [[]]
+        self.pending, self.via = [self.need[v0]], [None]
+        self.index = {b0 * g.n + v0: 0}
+        self.parked = [0]  # state 0 is classified by the first `grow`
 
     def __len__(self) -> int:
         return len(self.vert)
 
+    def grow(self, leaves: "_Leaves", cap: int | None = None) -> bool:
+        """Classify the parked states by `leaves`, then expand breadth
+        first, `cap` levels deep at most, until state 0 is attracted or
+        nothing is left to expand; True iff state 0 is attracted. Every
+        state appears once, at its shortest distance when the build
+        starts from state 0."""
+        n, labels, succ = self.g.n, self.g.labels, self.g.succ
+        need, vert, cov, pred = self.need, self.vert, self.cov, self.pred
+        pending, via, index = self.pending, self.via, self.index
+        level, seeds, parked = [], [], []
+        for i in self.parked:
+            lost, won = leaves[cov[i]]
+            if vert[i] in lost:
+                parked.append(i)
+            elif won:
+                via[i] = i
+                seeds.append(i)
+            else:
+                level.append(i)
+        self.parked = parked
+        _attract(via, pending, pred, seeds)
+        depth = 0
+        while level and via[0] is None and depth != cap:
+            grown = []
+            for i in level:
+                b = cov[i]
+                for u in succ[vert[i]]:
+                    c = b | labels[u]
+                    key = c * n + u
+                    j = index.get(key)
+                    if j is None:
+                        j = index[key] = len(vert)
+                        vert.append(u)
+                        cov.append(c)
+                        pred.append([i])
+                        pending.append(need[u])
+                        via.append(None)
+                        lost, won = leaves[c]
+                        if u in lost:
+                            parked.append(j)
+                            continue
+                        if not won:
+                            grown.append(j)
+                            continue
+                        via[j] = j
+                    else:
+                        pred[j].append(i)
+                        if via[j] is None:
+                            continue
+                    # the edge i -> j leads into the attractor: pull i
+                    pending[i] -= 1
+                    if pending[i]:
+                        continue
+                    via[i] = j
+                    _attract(via, pending, pred, [i])
+                    if via[0] is not None:
+                        return True
+                    break
+            level, depth = grown, depth + 1
+        return via[0] is not None
+
 
 class _Leaves(dict):
-    """Covered set b -> its leaf vertices, filled on first use: all of V
-    when |b| >= `settled`, otherwise `confined(b)`, or none without
-    `confined`."""
+    """Covered set b -> (lost, won), filled on first use: a new state
+    (v, b) is parked when v lies in `lost`, else seeded when `won`, else
+    expanded.
 
-    def __init__(self, n: int, settled: int, confined):
+    With `traps`, the rule of a decision at m: the states covering >= m
+    are seeds, and so are those covering m - 1 whose vertex lies outside
+    Trap(b), as one more proposition wins; the rest of that layer is
+    parked, and `exits[b]` keeps the causes of Trap(b)'s pass, the
+    tester's moves from there. Below m - 1 the vertices of
+    `traps.confined(b, m)` are parked. Without traps, the states covering
+    >= m are parked and no state is a seed."""
+
+    def __init__(self, n: int, m: int, traps: "_Traps | None" = None):
         super().__init__()
-        self.n, self.settled, self.confined = n, settled, confined
+        self.n, self.m, self.traps = n, m, traps
+        self.exits: dict[int, list[int]] = {}
 
-    def __missing__(self, b: int) -> Iterable[int]:
-        if b.bit_count() >= self.settled:
-            leaf: Iterable[int] = range(self.n)
-        elif self.confined is None:
-            leaf = ()
+    def __missing__(self, b: int) -> tuple[Iterable[int], bool]:
+        k, m, traps = b.bit_count(), self.m, self.traps
+        if traps is None:
+            rule: tuple[Iterable[int], bool] = (range(self.n) if k >= m else (), False)
+        elif k >= m:
+            rule = ((), True)
+        elif k == m - 1:
+            trap, self.exits[b] = traps.escape(b)
+            rule = (trap, True)
         else:
-            leaf = self.confined(b)
-        self[b] = leaf
-        return leaf
+            rule = (traps.confined(b, m), False)
+        self[b] = rule
+        return rule
 
 
-def _attractor(pending, pred, player1, seeds):
-    """Player-1 attractor of `seeds`: per node, the node that pulled it
-    in (None outside; a seed holds itself). `pending` holds each node's
-    successor count and is consumed. The queue runs in rank order, the
-    rank being the fewest rounds in which player 1 forces a seed: a
-    player-1 node enters through its lowest-ranked successor and a
-    player-2 node through its highest. So a node ranks one above its
-    puller (`_rank`), and at a player-1 node the puller, its cause, is a
-    winning move."""
-    via: list[int | None] = [None] * len(pred)
-    queue = list(seeds)
-    for i in queue:
-        via[i] = i
+def _needs(g: LabeledGraph) -> list[int]:
+    """Per vertex, the successors that must be attracted before it is:
+    one at a tester vertex, all at a system vertex. A plain LabeledGraph
+    is the game in which the tester owns every vertex."""
+    if isinstance(g, LabeledGameGraph):
+        return [1 if who == PLAYER1 else len(row) for who, row in zip(g.owner, g.succ)]
+    return [1] * g.n
+
+
+def _attract(via, pending, pred, queue: list[int]) -> None:
+    """Grow the attractor recorded in `via` from the nodes of `queue`,
+    which have just entered it: a predecessor enters once its `pending`
+    count of successors still to attract (consumed here) reaches zero,
+    pulled in by the node that brought it there. The queue runs in
+    order, so from seeds alone it runs in rank order, the rank being the
+    fewest rounds in which player 1 forces a seed: a player-1 node enters
+    through its lowest-ranked successor and a player-2 node through its
+    highest. So a node ranks one above its puller (`_rank`), and at a
+    player-1 node the puller, its cause, is a winning move."""
     for j in queue:
         for i in pred[j]:
             if via[i] is not None:
                 continue
-            if not player1[i]:
-                pending[i] -= 1
-                if pending[i]:
-                    continue
+            pending[i] -= 1
+            if pending[i]:
+                continue
             via[i] = j
             queue.append(i)
+
+
+def _attractor(pending, pred, seeds) -> list[int | None]:
+    """Player-1 attractor of `seeds`: per node, the node that pulled it
+    in (None outside; a seed holds itself). `pending` is consumed."""
+    via: list[int | None] = [None] * len(pred)
+    for i in seeds:
+        via[i] = i
+    _attract(via, pending, pred, list(seeds))
     return via
 
 
@@ -301,30 +378,13 @@ def _strategy(
     return TesterStrategy(moves, budget)
 
 
-def _decide(traps: "_Traps", m: int) -> GameAnswer:
-    """The decision at m over the product whose states covering >= m
-    are winning leaves and whose confined states are losing ones. The
-    states covering m - 1 are leaves as well: one more proposition wins,
-    so (v, b) is won exactly when v lies outside Trap(b), and that
-    trap's pass holds the tester's moves from there."""
-    prod = _Product(traps.g, m - 1, None, lambda b: traps.confined(b, m))
-    vert = prod.vert
-    seeds: list[int] = []
-    layer: dict[int, list[int]] = {}  # covered set b with |b| = m - 1 -> its states
-    for i, b in enumerate(prod.cov):
-        c = b.bit_count()
-        if c >= m:
-            seeds.append(i)
-        elif c == m - 1:
-            layer.setdefault(b, []).append(i)
-    exits: dict[int, list[int]] = {}  # b -> causes of Trap(b)'s pass
-    for b, states in layer.items():
-        trap, exits[b] = traps.escape(b)
-        seeds += [i for i in states if vert[i] not in trap]
-    via = _attractor(prod.pending, prod.pred, prod.player1, seeds)
-    if via[0] is None:
+def _decide(traps: "_Traps", prod: _Product, m: int) -> GameAnswer:
+    """The decision at m, attracted while `prod` grows under the leaf
+    rule of m (`_Leaves`); a YES carries the strategy of that attractor."""
+    leaves = _Leaves(traps.g.n, m, traps)
+    if not prod.grow(leaves):
         return GameAnswer(False)
-    return GameAnswer(True, strategy=_strategy(traps.g, prod, via, m, exits))
+    return GameAnswer(True, strategy=_strategy(traps.g, prod, prod.via, m, leaves.exits))
 
 
 def max_coverage_game(g: LabeledGameGraph, m: int, *, ap_cap: int = DEFAULT_AP_CAP) -> GameAnswer:
@@ -335,18 +395,27 @@ def max_coverage_game(g: LabeledGameGraph, m: int, *, ap_cap: int = DEFAULT_AP_C
     traps = _Traps(g)
     if m > _safety_bound(traps):
         return GameAnswer(False)
-    return _decide(traps, m)
+    return _decide(traps, _Product(g), m)
 
 
 def coverage_value_game(g: LabeledGameGraph, *, ap_cap: int = DEFAULT_AP_CAP) -> GameAnswer:
     """Largest enforceable coverage: the first YES among the decisions
     at t = ub, ub - 1, ..., |L(v_in)| + 1 below the safety bound ub, or
-    |L(v_in)| with the empty strategy when every one says NO."""
+    |L(v_in)| with the empty strategy when every one says NO.
+
+    The decisions share one product. A NO builds all of it that its goal
+    allows, and the next goal t resumes it: of the parked states, those
+    that win at t are seeded, those still confined below t stay parked,
+    and the rest are expanded. That is exact: confined(b, t) lies within
+    confined(b, t + 1), an attractor over expanded states with exact
+    leaves derives only true wins, and what t + 1 attracted is won at t
+    too."""
     _check_game(g, ap_cap)
     traps = _Traps(g)
-    base = g.labels[g.initial].bit_count()
-    for t in range(_safety_bound(traps), base, -1):
-        ans = _decide(traps, t)
+    ub, base = _safety_bound(traps), g.labels[g.initial].bit_count()
+    prod = _Product(g) if ub > base else None
+    for t in range(ub, base, -1):
+        ans = _decide(traps, prod, t)
         if ans.decision:
             return GameAnswer(True, value=t, strategy=ans.strategy)
     return GameAnswer(True, value=base, strategy=TesterStrategy({}))
@@ -375,7 +444,8 @@ def bounded_coverage_game(
     check_target(g, m, k)
     full = len(g.ap)
     cap = min(k, g.n * (full + 1))
-    prod = _Product(g, full, cap)
+    prod = _Product(g)
+    prod.grow(_Leaves(g.n, full), cap)
     by_count: list[list[int]] = [[] for _ in range(full + 1)]
     for i, b in enumerate(prod.cov):
         by_count[b.bit_count()].append(i)
@@ -384,7 +454,7 @@ def bounded_coverage_game(
         if not by_count[t]:
             continue
         seeds += by_count[t]
-        via = _attractor(list(prod.pending), prod.pred, prod.player1, seeds)
+        via = _attractor(list(prod.pending), prod.pred, seeds)
         if _rank(via, 0) <= cap:
             value = t
             break
@@ -457,31 +527,35 @@ def _return_check(g: LabeledGraph) -> int | None:
     outside the tester's attractor of it, or None when there is none.
     Linear in |V| + |E|. A stray lies outside the attractor, so the
     forward sweep runs only when some vertex does."""
+    inside = _returns(g)
+    return None if None not in inside else _stray(inside, _reachable(g.succ, g.initial))
+
+
+def _returns(g: LabeledGraph) -> list[int | None]:
+    """The tester's attractor of the initial vertex, as `_attractor`'s pullers."""
     require_valid(g)
-    inside = _attractor(*_arena(g), [g.initial])
-    if None not in inside:
-        return None
-    return min([v for v in _reachable(g.succ, g.initial) if inside[v] is None], default=None)
+    return _attractor(*_arena(g), [g.initial])
+
+
+def _stray(inside, reached: list[int]) -> int | None:
+    """The smallest vertex of `reached` outside the attractor `inside`,
+    or None."""
+    return None if None not in inside else min([v for v in reached if inside[v] is None], default=None)
 
 
 def _arena(g: LabeledGraph):
-    """The attractor kernel's input over the game graph itself: out-degrees
-    (consumed by the kernel), predecessor rows and player-1 flags. A plain
-    LabeledGraph is the game in which the tester owns every vertex."""
-    if isinstance(g, LabeledGameGraph):
-        player1 = [who == PLAYER1 for who in g.owner]
-    else:
-        player1 = [True] * g.n
-    return [len(row) for row in g.succ], _predecessors(g.succ), player1
+    """The attractor kernel's input over the game graph itself: the
+    `_needs` counts (consumed by the kernel) and predecessor rows."""
+    return _needs(g), _predecessors(g.succ)
 
 
 def _trap(g: LabeledGameGraph, arena, outside: list[int]) -> tuple[set[int], list[int]]:
     """The vertices from which the system keeps the play off `outside`
     forever, the complement of the player-1 attractor of `outside`, and
     that attractor's causes. `arena` is built once per query; its
-    degrees are copied per call."""
-    degree, pred, player1 = arena
-    via = _attractor(list(degree), pred, player1, outside)
+    counts are copied per call."""
+    need, pred = arena
+    via = _attractor(list(need), pred, outside)
     return {v for v, u in enumerate(via) if u is None}, via
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotRecurrentError
-from .game_cover import _return_check
+from .game_cover import _return_check, _returns, _stray
 from .model import LabeledGraph, _reachable, check_target, cover_of, require_valid
 
 
@@ -192,11 +192,14 @@ def max_coverage_recurrent_graph(g: LabeledGraph) -> int:
     Under recurrence every reachable vertex sits inside the strongly
     connected component of the initial vertex, so one path can sweep the
     whole reachable set and the value is just its label-union size.
-    Otherwise NotRecurrentError names the smallest stray vertex.
+    Otherwise NotRecurrentError names the smallest stray vertex. The
+    one forward sweep serves both the check and the label union.
     """
-    stray = _return_check(g)
+    inside = _returns(g)
+    reached = _reachable(g.succ, g.initial)
+    stray = _stray(inside, reached)
     if stray is not None:
         raise NotRecurrentError(
             f"vertex {g.names[stray]!r} is reachable but cannot return to the initial vertex"
         )
-    return cover_of(g, _reachable(g.succ, g.initial)).bit_count()
+    return cover_of(g, reached).bit_count()

@@ -349,11 +349,12 @@ def require_valid(model: Model) -> None:
 
 
 def check_target(g: LabeledGraph, m: int, k: int | None = None) -> None:
-    """Raise MOutOfRangeError unless 0 <= m <= |AP| and k is None or >= 0."""
-    if not 0 <= m <= len(g.ap):
-        raise MOutOfRangeError(f"m={m} outside 0..{len(g.ap)}")
-    if k is not None and k < 0:
-        raise MOutOfRangeError(f"k={k} must be >= 0")
+    """Raise MOutOfRangeError unless m is an integer in 0..|AP| and k is
+    None or a non-negative integer; a bool is not an integer here."""
+    if not (_is_int(m) and 0 <= m <= len(g.ap)):
+        raise MOutOfRangeError(f"m={m!r} is not an integer in 0..{len(g.ap)}")
+    if k is not None and not (_is_int(k) and k >= 0):
+        raise MOutOfRangeError(f"k={k!r} is not a non-negative integer")
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from covgame import (
 )
 from covgame import TesterStrategy as Strategy  # a Test* name would be collected
 from covgame import game_cover
-from covgame.game_cover import _Product
+from covgame.game_cover import _Leaves, _Product
 from genmodels import (
     diamond_game,
     random_game,
@@ -38,6 +38,15 @@ from genmodels import (
     wide_games,
 )
 from test_acceptance import exhaustive_playout_depth
+
+
+def plain_product(g, settled, cap=None):
+    """The product as the bounded solver builds it: the states covering
+    >= settled are parked, the rest are expanded up to BFS depth `cap`,
+    and nothing is attracted."""
+    prod = _Product(g)
+    prod.grow(_Leaves(g.n, settled), cap)
+    return prod
 
 
 def erase_owners_to_graph(g):
@@ -106,21 +115,17 @@ class TestSafetyBound:
             for m in range(ub + 1, len(g.ap) + 1):
                 assert not max_coverage_game(g, m).decision
 
-    def test_value_product_stops_at_the_bound(self, monkeypatch):
-        built = []
-
-        class Recorded(_Product):
-            def __init__(self, *args):
-                super().__init__(*args)
-                built.append(self)
-
-        monkeypatch.setattr(game_cover, "_Product", Recorded)
+    def test_value_product_stops_at_the_bound(self, built_products):
+        built = built_products
         rng = random.Random(29)
         for g in (random_game(rng, 8, 4) for _ in range(200)):
             built.clear()
             ub = game_cover._safety_bound(game_cover._Traps(g))
             value = coverage_value_game(g).value
             assert value <= ub
+            # the decisions at ub, ub - 1, ... share one product; none runs
+            # when ub is the initial cover
+            assert len(built) == (ub > g.labels[g.initial].bit_count())
             for prod in built:
                 # only states covering fewer than ub propositions are expanded
                 assert all(prod.cov[i].bit_count() < ub for row in prod.pred for i in row)
@@ -260,7 +265,7 @@ class TestBoundedCoverageGame:
         # the whole product, not one copy of it per depth
         for seed, size in ((0, 2527), (1, 1390)):
             g = sparse_random_game(seed, 64, 6)
-            assert len(_Product(g, len(g.ap))) == size
+            assert len(plain_product(g, len(g.ap))) == size
             for k in (20, 200):
                 built_products.clear()
                 bounded_coverage_game(g, len(g.ap), k)
@@ -372,11 +377,11 @@ class TestStrategies:
                     assert len(ans.strategy.moves) == reached_tester_states(g, ans.strategy, m)
 
     def test_sparse_decision_strategy_is_small(self):
-        # the attractor holds tens of thousands of tester states here,
-        # and the plays from the initial state reach 69 of them
+        # the product holds 2,294 tester states here, 449 of them won,
+        # and the plays from the initial state reach 44 of them
         g = sparse_random_game(4)
         strategy = max_coverage_game(g, 7).strategy
-        assert len(strategy.moves) == reached_tester_states(g, strategy, 7) == 69
+        assert len(strategy.moves) == reached_tester_states(g, strategy, 7) == 44
 
     @pytest.mark.parametrize("d, tester_chains", [(8, True), (12, False)])
     def test_diamond_strategy_has_one_move_per_state(self, d, tester_chains):
@@ -455,7 +460,7 @@ class TestProduct:
         for _ in range(40):
             g = random_game(rng)
             for goal in range(1, len(g.ap) + 2):
-                prod = _Product(g, goal)
+                prod = plain_product(g, goal)
                 assert len(prod) <= g.n * 2 ** len(g.ap)
                 for v, b in zip(prod.vert, prod.cov):
                     # only states whose covered set absorbed the vertex label
@@ -468,7 +473,7 @@ class TestProduct:
                         assert prod.cov[i].bit_count() < goal
             full = len(g.ap)
             for cap in (0, 1, 3):
-                prod = _Product(g, full, cap)
+                prod = plain_product(g, full, cap)
                 # each (v, b) appears once
                 assert len(set(zip(prod.vert, prod.cov))) == len(prod)
                 # depth by BFS parent: the first predecessor found the state

@@ -19,7 +19,7 @@ from covgame import (
     strategy_covers,
 )
 from covgame import game_cover
-from covgame.game_cover import _attractor, _Product, _Traps
+from covgame.game_cover import _Product, _Traps
 from genmodels import random_game, random_recurrent_game, sparse_random_game, wide_games
 
 seeds = given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -27,12 +27,28 @@ examples = settings(max_examples=150, deadline=None, derandomize=True, database=
 
 
 def unpruned_decision(g, m) -> bool:
-    """The decision at m on the full product: only the states covering
-    >= m are leaves, and they are the attractor's seeds."""
-    prod = _Product(g, m)
-    seeds = [i for i, b in enumerate(prod.cov) if b.bit_count() >= m]
-    entered = _attractor(prod.pending, prod.pred, prod.player1, seeds)
-    return entered[0] is not None
+    """The decision at m on the full product, built and attracted here
+    without the solver's code: only the states covering >= m are leaves,
+    they are the seeds, and the attractor is iterated to its fixpoint."""
+    start = (g.initial, g.labels[g.initial])
+    order, seen, succ = [start], {start}, {}
+    for state in order:
+        v, b = state
+        succ[state] = [] if b.bit_count() >= m else [(u, b | g.labels[u]) for u in g.succ[v]]
+        for s in succ[state]:
+            if s not in seen:
+                seen.add(s)
+                order.append(s)
+    won = {s for s in order if s[1].bit_count() >= m}
+    grew = True
+    while grew:
+        grew = False
+        for s in order:
+            pick = any if g.owner[s[0]] == PLAYER1 else all
+            if s not in won and succ[s] and pick(t in won for t in succ[s]):
+                won.add(s)
+                grew = True
+    return start in won
 
 
 def check_against_references(g):
@@ -178,9 +194,59 @@ def record_products(monkeypatch) -> list:
     return built
 
 
+def watch_state_0(monkeypatch, built: list) -> list:
+    """The size of the last recorded product at the end of each
+    attractor pass over it that leaves state 0 attracted."""
+    sizes = []
+    attract = game_cover._attract
+
+    def watched(via, *rest):
+        attract(via, *rest)
+        if built and via is built[-1].via and via[0] is not None:
+            sizes.append(len(via))
+
+    monkeypatch.setattr(game_cover, "_attract", watched)
+    return sizes
+
+
 def expanded(prod) -> set[int]:
     """The cover sizes of the states the product expanded."""
     return {prod.cov[i].bit_count() for row in prod.pred for i in row}
+
+
+def batch_attractor(g, prod) -> set[int]:
+    """The attractor of the seeds of `prod` over the edges it holds, by
+    fixpoint iteration: a tester state enters with one successor inside,
+    a system state with all of its successors, built and inside."""
+    out: list[list[int]] = [[] for _ in prod.vert]
+    for j, row in enumerate(prod.pred):
+        for i in row:
+            out[i].append(j)
+    won = {i for i, j in enumerate(prod.via) if j == i}
+    grew = True
+    while grew:
+        grew = False
+        for i, v in enumerate(prod.vert):
+            if i in won or not out[i]:
+                continue
+            if g.owner[v] == PLAYER1:
+                enters = any(j in won for j in out[i])
+            else:
+                enters = len(out[i]) == len(g.succ[v]) and all(j in won for j in out[i])
+            if enters:
+                won.add(i)
+                grew = True
+    return won
+
+
+def check_grown_product(g, prod, sizes: list, won: bool):
+    """Each (v, b) once; the attractor kept while building is the one of
+    the product built; a win adds no state after state 0 enters."""
+    assert len(set(zip(prod.vert, prod.cov))) == len(prod)
+    assert {i for i, j in enumerate(prod.via) if j is not None} == batch_attractor(g, prod)
+    assert (prod.via[0] is not None) == won
+    if won:
+        assert sizes and sizes[0] == len(prod), (sizes[:1], len(prod))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -188,13 +254,43 @@ def expanded(prod) -> set[int]:
 def test_exact_decisions_expand_nothing_past_m_minus_1(seed):
     rng = random.Random(seed)
     g = random_game(rng, 8, 4) if seed % 2 else random_recurrent_game(rng, 7, 4)
+    ub = game_cover._safety_bound(_Traps(g))
     with pytest.MonkeyPatch.context() as monkeypatch:
         built = record_products(monkeypatch)
+        sizes = watch_state_0(monkeypatch, built)
         for m in range(1, len(g.ap) + 1):
             built.clear()
-            max_coverage_game(g, m)
+            sizes.clear()
+            ans = max_coverage_game(g, m)
+            # a decision at m <= ub builds one product, and none above
+            assert len(built) == (m <= ub), (m, ub)
             for prod in built:
                 assert all(c < m - 1 for c in expanded(prod)), (m, expanded(prod))
+                check_grown_product(g, prod, sizes, ans.decision)
+
+
+def test_values_grow_one_product(monkeypatch):
+    # on these games about one value in seven lies below the safety
+    # bound, so its query resumes the product after one or more NOs
+    built = record_products(monkeypatch)
+    sizes = watch_state_0(monkeypatch, built)
+    resumed = 0
+    for seed in range(150):
+        g = sparse_random_game(seed, 24, 5)
+        ub = game_cover._safety_bound(_Traps(g))
+        base = g.labels[g.initial].bit_count()
+        built.clear()
+        sizes.clear()
+        ans = coverage_value_game(g)
+        assert unpruned_decision(g, ans.value), seed
+        assert ans.value == len(g.ap) or not unpruned_decision(g, ans.value + 1), seed
+        assert strategy_covers(g, ans.strategy, ans.value), seed
+        assert len(built) == (ub > base), seed
+        for prod in built:
+            check_grown_product(g, prod, sizes, ans.value > base)
+            assert all(c < ub - 1 for c in expanded(prod)), seed
+        resumed += base < ans.value < ub
+    assert resumed >= 15, resumed
 
 
 def test_wide_decisions_expand_nothing_past_m_minus_1(monkeypatch):
@@ -229,8 +325,21 @@ def test_sparse_value_builds_a_small_product(monkeypatch):
     built = record_products(monkeypatch)
     g = sparse_random_game(1, 200, 14)
     ans = coverage_value_game(g)
-    assert sum(map(len, built)) < 20_000
+    assert len(built) == 1 and 0 < len(built[0]) < 20_000
     assert strategy_covers(g, ans.strategy, ans.value)
+
+
+def test_value_builds_each_state_once(monkeypatch):
+    # the decisions at 12, 11 and 10 built 127,597 states in three
+    # products, 45,562 of them distinct; one resumed product builds each
+    # (v, b) once
+    built = record_products(monkeypatch)
+    g = sparse_random_game(4, 200, 12)
+    ans = coverage_value_game(g)
+    assert ans.value == 10 and strategy_covers(g, ans.strategy, 10)
+    assert len(built) == 1
+    prod = built[0]
+    assert len(set(zip(prod.vert, prod.cov))) == len(prod) <= 45_562
 
 
 def test_wide_strategies_cover_at_every_m():

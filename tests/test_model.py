@@ -10,13 +10,20 @@ from covgame import (
     InvalidModelError,
     LabeledGameGraph,
     LabeledGraph,
+    MOutOfRangeError,
     NotDeterministicError,
     SystemAutomaton,
+    bounded_coverage_game,
+    bounded_coverage_graph,
     compile_system,
     cover_of,
     coverage_value_game,
     coverage_value_graph,
     formats,
+    max_coverage_game,
+    max_coverage_graph,
+    oracle,
+    strategy_covers,
     game_to_graph,
     patch_self_loops,
     path_check,
@@ -299,3 +306,39 @@ class TestPropositionIndex:
         obj = {"kind": "strategy", "entries": [{"vertex": "v0", "covered": ["q"], "choose": "v1"}]}
         with pytest.raises(FormatError, match="unknown proposition 'q'"):
             Strategy.from_obj(g, obj)
+
+
+def target_calls(graph, game):
+    """Every public solver or checker that takes a target m or a step
+    bound k, as name -> call with that one argument varied."""
+    idle = Strategy({})
+    return {
+        "max_coverage_game m": lambda x: max_coverage_game(game, x),
+        "bounded_coverage_game m": lambda x: bounded_coverage_game(game, x, 2),
+        "bounded_coverage_game k": lambda x: bounded_coverage_game(game, 1, x),
+        "strategy_covers m": lambda x: strategy_covers(game, idle, x),
+        "max_coverage_graph m": lambda x: max_coverage_graph(graph, x),
+        "bounded_coverage_graph m": lambda x: bounded_coverage_graph(graph, x, 2),
+        "bounded_coverage_graph k": lambda x: bounded_coverage_graph(graph, 1, x),
+        "brute_force_game m": lambda x: oracle.brute_force_game(game, x),
+        "brute_force_game k": lambda x: oracle.brute_force_game(game, 1, x),
+        "brute_force_graph m": lambda x: oracle.brute_force_graph(graph, x),
+        "brute_force_graph k": lambda x: oracle.brute_force_graph(graph, 1, x),
+    }
+
+
+class TestTargets:
+    @pytest.mark.parametrize("bad", [1.5, 2.5, 1.0, True, False, "1"])
+    def test_non_integer_targets_are_refused(self, triangle, triangle_game, bad):
+        for name, call in target_calls(triangle, triangle_game).items():
+            with pytest.raises(MOutOfRangeError):
+                call(bad)
+            call(1)  # the same call with an integer is answered
+
+    def test_a_fractional_budget_gives_no_strategy(self, triangle_game):
+        # a strategy with budget 2.5 would not read back from its own JSON
+        with pytest.raises(MOutOfRangeError):
+            bounded_coverage_game(triangle_game, 1, 2.5)
+        ans = bounded_coverage_game(triangle_game, 1, 2)
+        obj = ans.strategy.to_obj(triangle_game)
+        assert Strategy.from_obj(triangle_game, obj) == ans.strategy

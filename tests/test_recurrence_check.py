@@ -139,11 +139,20 @@ def test_full_attractor_makes_no_sweep(sweeps, triangle, triangle_game, tmp_path
 def test_callers_of_the_reachable_set_sweep_once(sweeps, triangle, tmp_path, capsys):
     assert max_coverage_recurrent_graph(triangle) == 3
     assert len(sweeps) == 1
+    # the attractor of a misses z, yet no play reaches z: the sweep that
+    # finds no stray also gives the label union
+    pair = LabeledGraph.make(
+        ["p", "q"], [("a", ["p"]), ("b", ["q"]), ("z", [])], [("a", "b"), ("b", "a"), ("z", "z")], "a"
+    )
+    sweeps.clear()
+    assert max_coverage_recurrent_graph(pair) == 2
+    assert len(sweeps) == 1
+    sweeps.clear()
     path = tmp_path / "triangle.cov"
     path.write_text(formats.dumps(triangle), encoding="utf-8")
     assert cli.main(["recurrent", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == 3
-    assert len(sweeps) == 2
+    assert len(sweeps) == 1
 
 
 def test_a_stray_costs_one_sweep(sweeps, branch_graph, adversarial_game):
