@@ -13,14 +13,15 @@ losing leaf when v lies in Trap(P), the trap among the vertices labeled
 within some P ⊇ b with |P| = m - 1 (`_Traps`). The states covering
 m - 1 are leaves as well: one more proposition wins, so (v, b) is won
 exactly when v lies outside Trap(b), and the tester's moves there are
-the causes of the attractor pass that found Trap(b). A trap pass seeds
-its attractor with the vertices of the label classes outside P; passes
-are memoized per query and shared with the bound. A covered set whose
-candidate sets P number more than |AP|^3 gets no losing leaves. Past
-the bound's |AP| + 1 passes and the live test's |AP|, each pass drops
-d = |used| - (m - 1) live propositions from the used ones, so a decision
-takes at most C(|live|, d) + 2|AP| + 1 passes. The value is the first
-YES among the decisions at t = ub, ub - 1, ..., |L(v_in)| + 1.
+the causes of the attractor pass that found Trap(b). One trap layer
+per decision, a bit-parallel greatest fixpoint over every P = used - D
+with |D| = d = |used| - (m - 1) (`_Traps.layer`), decides each new
+state's leaf with one AND; a layer too large is refused, and each
+covered set then parks Trap(b) alone. Trap passes are memoized per
+query: the bound makes |AP| + 1, and a decision one per covered set at
+m - 1 that its strategy visits (with its layer refused, one per covered
+set it classifies). The value is the first YES among the decisions at
+t = ub, ub - 1, ..., |L(v_in)| + 1.
 
 The attractor grows with the product, in the manner of Liu and Smolka's
 local fixed points with the build kept breadth first (`_Product`): each
@@ -28,9 +29,9 @@ new state is classified once as a seed, a parked losing leaf or a state
 to expand; a seed, and each edge added into the attractor, pulls the
 edge's source in at once, and a decision stops building when the initial
 state enters. The decisions of a value query share one product: lowering
-the goal re-classifies only the parked leaves, as a covered set's
-confined vertices at t lie within those at t + 1, so each (v, b) is
-built once per query.
+the goal re-classifies only the parked leaves, and as every covered
+set parks at least Trap(b), a state once expanded needs no second look
+(`coverage_value_game`), so each (v, b) is built once per query.
 
 Bounded coverage is that game within k steps: its answer is the
 attractor rank of the initial state, the fewest rounds in which the
@@ -56,7 +57,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import ApCapExceededError, FormatError, NotRecurrentError
 from .model import (
@@ -213,8 +214,8 @@ class _Product:
         pending, via, index = self.pending, self.via, self.index
         level, seeds, parked = [], [], []
         for i in self.parked:
-            lost, won = leaves[cov[i]]
-            if vert[i] in lost:
+            trap, mask, won = leaves[cov[i]]
+            if trap[vert[i]] & mask:
                 parked.append(i)
             elif won:
                 via[i] = i
@@ -239,8 +240,8 @@ class _Product:
                         pred.append([i])
                         pending.append(need[u])
                         via.append(None)
-                        lost, won = leaves[c]
-                        if u in lost:
+                        trap, mask, won = leaves[c]
+                        if trap[u] & mask:
                             parked.append(j)
                             continue
                         if not won:
@@ -265,34 +266,39 @@ class _Product:
 
 
 class _Leaves(dict):
-    """Covered set b -> (lost, won), filled on first use: a new state
-    (v, b) is parked when v lies in `lost`, else seeded when `won`, else
-    expanded.
+    """Covered set b -> (trap, mask, won), filled on first use: a new
+    state (v, b) is parked when trap[v] & mask is nonzero, else seeded
+    when `won`, else expanded.
 
     With `traps`, the rule of a decision at m: the states covering >= m
-    are seeds, and so are those covering m - 1 whose vertex lies outside
-    Trap(b), as one more proposition wins; the rest of that layer is
-    parked, and `exits[b]` keeps the causes of Trap(b)'s pass, the
-    tester's moves from there. Below m - 1 the vertices of
-    `traps.confined(b, m)` are parked. Without traps, the states covering
-    >= m are parked and no state is a seed."""
+    are seeds. Below m, `trap` is the trap layer of d = |used| - (m - 1),
+    built on first use, and `mask` holds the D disjoint from b, so v is
+    parked iff it lies in Trap(P) for some P ⊇ b with |P| = m - 1; at
+    |b| = m - 1 that is Trap(b), and the rest is seeded, as one more
+    proposition wins. With the layer refused, each covered set parks
+    Trap(b) from its own pass. Either way every covered set parks at
+    least Trap(b), as a value query's resumed product needs. Without
+    traps, the states covering >= m are parked and none is a seed."""
 
     def __init__(self, n: int, m: int, traps: "_Traps | None" = None):
         super().__init__()
-        self.n, self.m, self.traps = n, m, traps
-        self.exits: dict[int, list[int]] = {}
+        self.m, self.traps, self.ones = m, traps, b"\1" * n
+        self.layer: tuple | None = None
 
-    def __missing__(self, b: int) -> tuple[Iterable[int], bool]:
+    def __missing__(self, b: int) -> tuple[Sequence[int], int, bool]:
         k, m, traps = b.bit_count(), self.m, self.traps
         if traps is None:
-            rule: tuple[Iterable[int], bool] = (range(self.n) if k >= m else (), False)
+            rule = (self.ones, int(k >= m), False)
         elif k >= m:
-            rule = ((), True)
-        elif k == m - 1:
-            trap, self.exits[b] = traps.escape(b)
-            rule = (trap, True)
+            rule = (self.ones, 0, True)
         else:
-            rule = (traps.confined(b, m), False)
+            if self.layer is None:
+                self.layer = traps.layer(traps.used.bit_count() - (m - 1))
+            trap, avoiding = self.layer
+            if trap is None:  # refused: Trap(b) alone
+                rule = ([u is None for u in traps.exits(b)], 1, k == m - 1)
+            else:
+                rule = (trap, avoiding(b), k == m - 1)
         self[b] = rule
         return rule
 
@@ -349,16 +355,19 @@ def _rank(via, i: int) -> float:
 
 
 def _strategy(
-    g: LabeledGameGraph, prod: _Product, via, m: int, exits: dict, budget: int | None = None
+    g: LabeledGameGraph, prod: _Product, via, m: int, traps: "_Traps | None" = None,
+    budget: int | None = None,
 ) -> TesterStrategy:
     """The tester's moves at the states that the plays from the initial
     state reach before covering m: one walk takes the attractor's cause
-    at a tester state and every successor at a system state. `exits[b]`
-    holds the moves from a decision's leaves covering b, |b| = m - 1.
-    A tester state counts as walked once it holds a move, so `seen`
-    holds system states only. Each move steps down one attractor rank,
-    so a bounded game's moves need no steps-left key: every play stays
-    within the initial state's rank, at most the game's `budget`."""
+    at a tester state and every successor at a system state. In a
+    decision, given its `traps`, a tester state covering m - 1 moves by
+    the causes of Trap(b)'s pass (`_Traps.exits`): one pass per such
+    covered set the walk visits. A tester state counts as walked once it
+    holds a move, so `seen` holds system states only. Each move steps
+    down one attractor rank, so a bounded game's moves need no
+    steps-left key: every play stays within the initial state's rank, at
+    most the game's `budget`."""
     n, labels, succ, owner = g.n, g.labels, g.succ, g.owner
     vert, index = prod.vert, prod.index
     moves, seen = {}, set()
@@ -370,7 +379,11 @@ def _strategy(
         if owner[v] == PLAYER1:
             if (v, b) in moves:
                 continue
-            u = moves[(v, b)] = exits[b][v] if b in exits else vert[via[index[b * n + v]]]
+            if traps is not None and b.bit_count() == m - 1:
+                u = traps.exits(b)[v]
+            else:
+                u = vert[via[index[b * n + v]]]
+            moves[(v, b)] = u
             todo.append((u, b | labels[u]))
         elif (key := b * n + v) not in seen:
             seen.add(key)
@@ -381,10 +394,9 @@ def _strategy(
 def _decide(traps: "_Traps", prod: _Product, m: int) -> GameAnswer:
     """The decision at m, attracted while `prod` grows under the leaf
     rule of m (`_Leaves`); a YES carries the strategy of that attractor."""
-    leaves = _Leaves(traps.g.n, m, traps)
-    if not prod.grow(leaves):
+    if not prod.grow(_Leaves(traps.g.n, m, traps)):
         return GameAnswer(False)
-    return GameAnswer(True, strategy=_strategy(traps.g, prod, prod.via, m, leaves.exits))
+    return GameAnswer(True, strategy=_strategy(traps.g, prod, prod.via, m, traps))
 
 
 def max_coverage_game(g: LabeledGameGraph, m: int, *, ap_cap: int = DEFAULT_AP_CAP) -> GameAnswer:
@@ -406,10 +418,14 @@ def coverage_value_game(g: LabeledGameGraph, *, ap_cap: int = DEFAULT_AP_CAP) ->
     The decisions share one product. A NO builds all of it that its goal
     allows, and the next goal t resumes it: of the parked states, those
     that win at t are seeded, those still confined below t stay parked,
-    and the rest are expanded. That is exact: confined(b, t) lies within
-    confined(b, t + 1), an attractor over expanded states with exact
-    leaves derives only true wins, and what t + 1 attracted is won at t
-    too."""
+    and the rest are expanded. That is exact. Parked states are lost at
+    their goal, so an attractor over the rest derives only true wins,
+    and what t + 1 attracted is won at t too. A state expanded at one
+    goal is never classified again, which loses no seed because every
+    covered set parks at least Trap(b), its layer refused or not: an
+    expanded (v, b) has v outside Trap(b), so from goal |b| + 1 down the
+    tester leaves Trap(b) through seeded or expanded states, and the
+    attractor derives it."""
     _check_game(g, ap_cap)
     traps = _Traps(g)
     ub, base = _safety_bound(traps), g.labels[g.initial].bit_count()
@@ -460,7 +476,7 @@ def bounded_coverage_game(
             break
     if value < m:
         return GameAnswer(False, value=value)
-    return GameAnswer(True, value=value, strategy=_strategy(g, prod, via, m, {}, cap))
+    return GameAnswer(True, value=value, strategy=_strategy(g, prod, via, m, None, cap))
 
 
 def strategy_covers(g: LabeledGameGraph, strategy: TesterStrategy, m: int) -> bool:
@@ -559,6 +575,17 @@ def _trap(g: LabeledGameGraph, arena, outside: list[int]) -> tuple[set[int], lis
     return {v for v, u in enumerate(via) if u is None}, via
 
 
+_LAYER_BITS = 1 << 26
+"""The most bits a trap layer may hold, (|V| + |used|) * C(|used|, d) for
+its ints and its `_omits` masks: 8 MB, built in 19-37 ms with a peak of
+14 MB. Refusing a layer that prunes costs far more: on
+`sparse_random_game(4, 150, 20)` at m = 9..13, whose layers hold 21-31
+million bits, decisions took 27-302 ms with the layer and 0.76-15 s
+with it refused at 2^24, parking Trap(b) alone. A layer that prunes
+nothing costs its build: no decision on the tests' wide games took over
+29 ms at 2^26, against 7 ms at 2^24."""
+
+
 class _Traps:
     """Trap(P), the trap among the vertices labeled within proposition
     set P, and the causes of its pass, memoized for one query. A pass
@@ -574,7 +601,6 @@ class _Traps:
         self.used = 0
         for b in self.classes:
             self.used |= b
-        self.live: list[tuple[int, set[int]]] | None = None
 
     def outside(self, props: int) -> list[int]:
         """The vertices labeled outside `props`."""
@@ -588,67 +614,73 @@ class _Traps:
             self.memo[key] = trap
         return trap
 
-    def escape(self, b: int) -> tuple[set[int], list[int]]:
-        """Trap(b) and the causes of a pass that found it, for a covered
-        set b one proposition short of a decision's goal: b's own pass,
-        or, when b misses a proposition p that is not live, the live
-        test's pass of `used` - {p}, whose trap is empty as Trap(b) is.
-        So each pass made here is a live-test pass or one of the walks'."""
-        for p in _bits(self.used & ~b):
-            if not self(self.used & ~p):
-                b = self.used & ~p
-                break
-        trap = self(b)
-        return trap, self.causes[b & self.used]
+    def exits(self, b: int) -> list[int]:
+        """The causes of Trap(b)'s pass: at a tester vertex outside the
+        trap, a move one attractor rank nearer a vertex labeled outside b
+        (None inside the trap)."""
+        self(b)
+        return self.causes[b & self.used]
 
-    def confined(self, b: int, m: int) -> Iterable[int]:
-        """Vertices from which the system keeps the cover of a play that
-        has covered b below m: the union of Trap(P) over P ⊇ b with
-        |P| = m - 1, unused propositions padding P.
+    def layer(self, d: int) -> tuple[list[int], Callable[[int], int]] | tuple[None, None]:
+        """The trap layer of d: per vertex v an int with one bit per
+        d-subset D of the used propositions, set iff v lies in
+        Trap(used - D), and the function from a covered set b to the mask
+        of the D disjoint from b. One worklist greatest fixpoint on the
+        game graph builds it, every D at once: bit D starts set where
+        L(v) misses D, a tester vertex keeps the AND of its successors'
+        bits and a system vertex their OR. A layer holding more than
+        _LAYER_BITS bits, its ints and the masks of `_omits`, is
+        refused: (None, None)."""
+        g, props = self.g, _bits(self.used)
+        size = math.comb(len(props), d)
+        if (g.n + len(props)) * size > _LAYER_BITS:
+            return None, None
+        omit, full = dict(zip(props, _omits(len(props), d))), (1 << size) - 1
 
-        Trap(P) lies within Trap(used - {p}) for each p outside P, so only
-        the `live` propositions, whose co-singleton trap is not empty, are
-        worth dropping, d = |used ∪ b| - (m - 1) of them; d is one number
-        per decision, as covered sets lie within `used`. When the
-        C(|free|, d) sets P, free being the live propositions outside b,
-        exceed |AP|^3 the leaf set is empty, so one covered set's walk
-        looks at no more than |AP|^3 sets. Otherwise a depth-first walk
-        from P = used drops free propositions, bounds each set's trap by
-        the traps of the sets above it, skips a set whose bound adds
-        nothing to the union, and returns the whole union. Each fresh
-        pass is Trap(used - D) for a D ⊆ live with |D| = d."""
-        memo, used = self.memo, self.used
-        drop = (used | b).bit_count() - (m - 1)
-        if drop <= 0:
-            return range(self.g.n)
-        if self.live is None:
-            self.live = [(p, top) for p in _bits(used) if (top := self(used & ~p))]
-        free = [(p, top) for p, top in self.live if not b & p]
-        if math.comb(len(free), drop) > len(self.g.ap) ** 3:
-            return ()
-        union: set[int] = set()
-        stack: list[tuple[int, int, set[int] | None, int]] = [(used, 0, None, drop)]
-        while stack:
-            props, start, within, left = stack.pop()
-            for j in range(start, len(free) - left + 1):
-                p, top = free[j]
-                child = props & ~p
-                trap = memo.get(child)
-                if trap is not None:
-                    bound = trap
-                elif within is None:
-                    bound = top
-                else:
-                    bound = within & top
-                if bound <= union:
-                    continue
-                if left > 1:
-                    stack.append((child, j + 1, bound, left - 1))
-                    continue
-                if trap is None:
-                    trap = self(child)
-                union |= trap
-        return union
+        def avoiding(b: int) -> int:
+            mask = full
+            while b:
+                mask &= omit[b & -b]
+                b &= b - 1
+            return mask
+
+        start = {b: avoiding(b) for b in self.classes}
+        x = [start[b] for b in g.labels]
+        tester, succ, pred = [who == PLAYER1 for who in g.owner], g.succ, self.arena[1]
+        todo = {v for v in range(g.n) if x[v]}
+        while todo:
+            v = todo.pop()
+            old = x[v]
+            if tester[v]:
+                new = old
+                for u in succ[v]:
+                    new &= x[u]
+            else:
+                new = 0
+                for u in succ[v]:
+                    new |= x[u]
+                new &= old
+            if new != old:
+                x[v] = new
+                todo.update(pred[v])
+        return x, avoiding
+
+
+def _omits(k: int, d: int) -> list[int]:
+    """Over the d-subsets of range(k) in colex order, per element p the
+    bitmask of the subsets that omit p. The d-subsets of range(i) list
+    those of range(i - 1) first, then the (d - 1)-subsets of range(i - 1)
+    with i - 1 added, so each mask joins its two halves, and the mask of
+    i - 1 is the first half whole; only the sizes that can still reach d
+    are kept."""
+    rows = {0: (1, [])}  # j -> (count, masks) over the j-subsets of range(i)
+    for i in range(1, k + 1):
+        empty, grown = (0, [0] * (i - 1)), {}
+        for j in range(max(0, d - k + i), min(d, i) + 1):
+            (c0, m0), (c1, m1) = rows.get(j, empty), rows.get(j - 1, empty)
+            grown[j] = (c0 + c1, [a | b << c0 for a, b in zip(m0, m1)] + [(1 << c0) - 1])
+        rows = grown
+    return rows[d][1]
 
 
 def _confined(traps: _Traps, props: int) -> set[int] | None:

@@ -88,19 +88,32 @@ def confined_within(g, props: int) -> set[int]:
         keep -= drop
 
 
+def parked(g, traps, b: int, m: int) -> set[int]:
+    """The vertices a decision at m parks at covered set b."""
+    trap, mask, _ = game_cover._Leaves(g.n, m, traps)[b]
+    return {v for v in range(g.n) if trap[v] & mask}
+
+
+def within_used(traps) -> list[int]:
+    """The sets within the used propositions, where every covered set
+    lies; a decision's m stays within their count, the safety bound's
+    ceiling."""
+    used = game_cover._bits(traps.used)
+    return [sum(s) for k in range(len(used) + 1) for s in itertools.combinations(used, k)]
+
+
 @examples
 @seeds
 def test_losing_leaves_are_confined_below_m(seed):
     g = random_game(random.Random(seed), 8, 4)
     full = (1 << len(g.ap)) - 1
-    for m in range(1, len(g.ap) + 1):
-        traps = _Traps(g)
-        for b in range(full + 1):
+    traps = _Traps(g)
+    for m in range(1, traps.used.bit_count() + 1):
+        for b in within_used(traps):
             if b.bit_count() >= m:
                 continue
-            leaves = traps.confined(b, m)
             supersets = subsets_between(b, full, m)
-            for v in leaves:
+            for v in parked(g, traps, b, m):
                 # some P ⊇ b with |P| < m holds v in a trap of its own
                 assert any(v in confined_within(g, p) for p in supersets), (b, m, v)
 
@@ -119,25 +132,100 @@ def subsets_between(b: int, full: int, below: int) -> list[int]:
 def test_leaf_sets_are_complete(seed):
     g = random_game(random.Random(seed), 8, 4)
     full = (1 << len(g.ap)) - 1
-    for m in range(1, len(g.ap) + 1):
-        traps = _Traps(g)
-        for b in range(full + 1):
+    traps = _Traps(g)
+    for m in range(1, traps.used.bit_count() + 1):
+        for b in within_used(traps):
             if b.bit_count() >= m:
                 continue
-            leaves = set(traps.confined(b, m))
-            drop = (traps.used | b).bit_count() - (m - 1)
-            free = [p for p, _ in traps.live or () if not b & p]
-            if drop > 0 and math.comb(len(free), drop) > len(g.ap) ** 3:
-                continue  # the size test turns this covered set's walk down
             want = set().union(*(confined_within(g, p) for p in subsets_between(b, full, m)))
-            assert leaves == want, (b, m)
+            assert parked(g, traps, b, m) == want, (b, m)
+
+
+def layer_game(seed: int):
+    """A random game with multi-proposition labels, and at random a
+    proposition on no vertex and one on every vertex, whose co-singleton
+    trap is empty."""
+    rng = random.Random(seed)
+    g = random_game(rng, 7, 4)
+    ap, labels = list(g.ap), list(g.labels)
+    if rng.random() < 0.5:
+        ap.append("unused")
+    if rng.random() < 0.5:
+        labels = [b | 1 << len(ap) for b in labels]
+        ap.append("everywhere")
+    return LabeledGameGraph(tuple(ap), g.names, g.succ, tuple(labels), g.initial, g.owner)
+
+
+def colex(k: int, d: int) -> list[tuple[int, ...]]:
+    """The d-subsets of range(k), in the order of a layer's bits."""
+    return sorted(itertools.combinations(range(k), d), key=lambda s: s[::-1])
+
+
+@examples
+@seeds
+def test_layers_match_trap_passes(seed):
+    g = layer_game(seed)
+    traps = _Traps(g)
+    used = game_cover._bits(traps.used)
+    full = (1 << len(g.ap)) - 1
+
+    def trap(props: int) -> set[int]:
+        return game_cover._trap(g, traps.arena, traps.outside(props))[0]
+
+    for m in range(1, len(used) + 1):
+        d = len(used) - (m - 1)
+        layer, _ = traps.layer(d)
+        for bit, drop in enumerate(colex(len(used), d)):
+            inside = trap(traps.used & ~sum(used[i] for i in drop))
+            assert all((layer[v] >> bit & 1) == (v in inside) for v in range(g.n)), (m, drop)
+        for b in within_used(traps):
+            if b.bit_count() < m:
+                want = set().union(*(trap(p) for p in subsets_between(b, full, m) if p.bit_count() == m - 1))
+                assert parked(g, traps, b, m) == want, (b, m)
+
+
+def lost_proposition_game():
+    """The system picks between a p0 self-loop and a cycle over p1..p8,
+    and p9..p15 sit on an unreachable vertex. The safety bound reads 8,
+    so the value query decides the goals 8 down to 1 on one product. A
+    state expanded at one goal is never classified again, so the p0
+    loop, inside Trap({p0}), must stay parked at every goal, or the goal
+    of 1 finds no seed there and the value reads 0."""
+    ap = [f"p{i}" for i in range(16)]
+    cycle = [f"c{i}" for i in range(1, 9)]
+    return LabeledGameGraph.make_game(
+        ap,
+        [("v", [], 2), ("a", ["p0"], 2)] + [(c, [f"p{i}"], 2) for i, c in enumerate(cycle, 1)]
+        + [("d", ap[9:], 2)],
+        [("v", "a"), ("v", "c1"), ("a", "a"), ("d", "d")] + list(zip(cycle, cycle[1:] + cycle[:1])),
+        "v",
+    )
+
+
+@pytest.mark.parametrize("refused", [False, True], ids=["layers", "refused"])
+def test_value_keeps_a_proposition_past_a_refused_covered_set(monkeypatch, refused):
+    # with every layer refused, each covered set still parks Trap(b)
+    if refused:
+        monkeypatch.setattr(game_cover, "_LAYER_BITS", 0)
+    g = lost_proposition_game()
+    ans = coverage_value_game(g)
+    assert ans.value == max(m for m in range(len(g.ap) + 1) if oracle.brute_force_game(g, m)) == 1
+    assert strategy_covers(g, ans.strategy, ans.value)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@seeds
+def test_refused_layers_match_unpruned_and_oracle(seed):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(game_cover, "_LAYER_BITS", 0)
+        check_against_references(random_game(random.Random(seed), 6, 4))
 
 
 def side_trap_cycle(k: int = 30):
     """The tester's cycle v0 -> c0 -> ... -> c_{k-1} -> v0, one proposition
     per c_i, where each c_i may also step to a system vertex s_i with
     c_i's label and a self-loop: every co-singleton trap holds some s_i,
-    so the walks have every proposition to drop."""
+    so every proposition is live, and the layers of most d are refused."""
     ap = [f"p{i}" for i in range(k)]
     cs, ss = [f"c{i}" for i in range(k)], [f"s{i}" for i in range(k)]
     return LabeledGameGraph.make_game(
@@ -149,9 +237,12 @@ def side_trap_cycle(k: int = 30):
 
 
 def pass_bound(g, m) -> int:
-    """C(|live|, d) + 2|AP| + 1 for the decision at m: the walks and the
-    m - 1 layer make at most C(|live|, d) fresh passes, the live test
-    |AP| and the safety bound |AP| + 1."""
+    """C(|live|, d) + 2|AP| + 1 for the decision at m, a ceiling on its
+    trap passes, |live| counting the used propositions whose co-singleton
+    trap is not empty. The safety bound makes |AP| + 1 passes; past
+    those, a decision with its trap layer built makes one per covered
+    set at m - 1 that its strategy visits, and one with its layer
+    refused one per covered set it classifies."""
     traps = _Traps(g)
     live = [p for p in game_cover._bits(traps.used) if traps(traps.used & ~p)]
     drop = traps.used.bit_count() - (m - 1)
@@ -170,9 +261,9 @@ def test_wide_games_bound_their_trap_passes(monkeypatch):
             bound = pass_bound(g, m)
             passes.clear()
             ans = max_coverage_game(g, m)
-            # a decision promises C(|live|, d) + 2|AP| + 1 passes; these
-            # games also stay within |AP|^3 + 2|AP| + 1, which is tighter
-            # here, though the per-set cap does not promise it
+            # these games stay within C(|live|, d) + 2|AP| + 1 passes,
+            # and within |AP|^3 + 2|AP| + 1, which is tighter here, though
+            # their refused layers take a pass per covered set
             assert len(passes) <= bound, (name, m, len(passes), bound)
             assert len(passes) <= k**3 + 2 * k + 1, (name, m, len(passes))
             # every pass goes through _trap, so the count above is real
@@ -295,12 +386,14 @@ def test_values_grow_one_product(monkeypatch):
 
 def test_wide_decisions_expand_nothing_past_m_minus_1(monkeypatch):
     # every proposition of the side-trap cycle is live, so from m = 5 to
-    # 27 the C(30, 31 - m) candidate sets of the empty covered set exceed
-    # 30^3; the states covering m - 1 are leaves all the same
+    # 27 the empty covered set has C(30, 31 - m) > 30^3 candidate sets P,
+    # and from m = 8 to 24 the layers exceed _LAYER_BITS and are
+    # refused; the states covering m - 1 are leaves all the same
     g = side_trap_cycle(30)
     built = record_products(monkeypatch)
     for m in range(5, 28):
         assert math.comb(30, 31 - m) > 30**3
+        assert ((g.n + 30) * math.comb(30, 31 - m) > game_cover._LAYER_BITS) == (8 <= m <= 24)
         built.clear()
         ans = max_coverage_game(g, m)
         assert ans.decision == unpruned_decision(g, m)
@@ -311,17 +404,29 @@ def test_decisions_meet_their_pass_bound(monkeypatch):
     passes = []
     trap = game_cover._trap
     monkeypatch.setattr(game_cover, "_trap", lambda *a: passes.append(a) or trap(*a))
+    built = 0
     for g, ms in [(side_trap_cycle(30), range(5, 28)), (sparse_random_game(1, 200, 14), range(15))]:
+        used = _Traps(g).used.bit_count()
         for m in ms:
             bound = pass_bound(g, m)
             passes.clear()
-            max_coverage_game(g, m)
+            ans = max_coverage_game(g, m)
             assert len(passes) <= bound, (m, len(passes), bound)
+            if (g.n + used) * math.comb(used, used - (m - 1)) > game_cover._LAYER_BITS:
+                continue  # a refused layer: a pass per covered set
+            # with its layer built, a decision passes only for the safety
+            # bound and for the covered sets at m - 1 its strategy visits
+            moves = ans.strategy.moves if ans.decision else {}
+            exits = {b for _, b in moves if b.bit_count() == m - 1}
+            assert len(passes) <= len(g.ap) + 1 + len(exits), (m, len(passes))
+            built += 1
+    assert built >= 15, built
 
 
 def test_sparse_value_builds_a_small_product(monkeypatch):
-    # C(|live|, d) > 14^3 at m = 7..9, but the size test is per covered
-    # set and no state covering m - 1 is expanded, so the value stays small
+    # C(|live|, d) > 14^3 candidate sets P at m = 7..9, but one trap
+    # layer per goal parks every covered set's full union, and no state
+    # covering m - 1 is expanded, so the value stays small
     built = record_products(monkeypatch)
     g = sparse_random_game(1, 200, 14)
     ans = coverage_value_game(g)
