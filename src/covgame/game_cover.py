@@ -12,13 +12,15 @@ seeded into the attractor and never expanded, and a state (v, b) is a
 losing leaf when v lies in Trap(P), the trap among the vertices labeled
 within some P ⊇ b with |P| = m - 1 (`_Traps`). The states covering
 m - 1 are leaves as well: one more proposition wins, so (v, b) is won
-exactly when v lies outside Trap(b), and the tester's moves there are
-the causes of the attractor pass that found Trap(b). One trap layer
-per decision, a bit-parallel greatest fixpoint over every P = used - D
-with |D| = d = |used| - (m - 1) (`_Traps.layer`), decides each new
-state's leaf with one AND; a layer too large is refused, and each
-covered set then parks Trap(b) alone. Trap passes are memoized per
-query: the bound makes |AP| + 1, and a decision one per covered set at
+exactly when v lies outside Trap(b). A trap pass returns one list, the
+pullers of its attractor pass (`_trap`): v lies in the trap iff its
+puller is None, and outside it a tester state covering m - 1 moves to
+its puller. One trap layer per decision, a bit-parallel greatest
+fixpoint over every P = used - D with |D| = d = |used| - (m - 1)
+(`_Traps.layer`), decides each new state's leaf with one AND; a layer
+too large is refused, and each covered set then parks Trap(b) alone.
+Trap passes are memoized per query, one pullers list per proposition
+set: the bound makes |AP| + 1, and a decision one per covered set at
 m - 1 that its strategy visits (with its layer refused, one per covered
 set it classifies). The value is the first YES among the decisions at
 t = ub, ub - 1, ..., |L(v_in)| + 1.
@@ -276,9 +278,10 @@ class _Leaves(dict):
     parked iff it lies in Trap(P) for some P ⊇ b with |P| = m - 1; at
     |b| = m - 1 that is Trap(b), and the rest is seeded, as one more
     proposition wins. With the layer refused, each covered set parks
-    Trap(b) from its own pass. Either way every covered set parks at
-    least Trap(b), as a value query's resumed product needs. Without
-    traps, the states covering >= m are parked and none is a seed."""
+    Trap(b), the vertices without a puller in its own pass. Either way
+    every covered set parks at least Trap(b), as a value query's resumed
+    product needs. Without traps, the states covering >= m are parked
+    and none is a seed."""
 
     def __init__(self, n: int, m: int, traps: "_Traps | None" = None):
         super().__init__()
@@ -296,7 +299,7 @@ class _Leaves(dict):
                 self.layer = traps.layer(traps.used.bit_count() - (m - 1))
             trap, avoiding = self.layer
             if trap is None:  # refused: Trap(b) alone
-                rule = ([u is None for u in traps.exits(b)], 1, k == m - 1)
+                rule = ([u is None for u in traps(b)], 1, k == m - 1)
             else:
                 rule = (trap, avoiding(b), k == m - 1)
         self[b] = rule
@@ -361,13 +364,14 @@ def _strategy(
     """The tester's moves at the states that the plays from the initial
     state reach before covering m: one walk takes the attractor's cause
     at a tester state and every successor at a system state. In a
-    decision, given its `traps`, a tester state covering m - 1 moves by
-    the causes of Trap(b)'s pass (`_Traps.exits`): one pass per such
-    covered set the walk visits. A tester state counts as walked once it
-    holds a move, so `seen` holds system states only. Each move steps
-    down one attractor rank, so a bounded game's moves need no
-    steps-left key: every play stays within the initial state's rank, at
-    most the game's `budget`."""
+    decision, given its `traps`, a tester state covering m - 1 moves to
+    its puller in Trap(b)'s pass (`_Traps`), one attractor rank nearer a
+    vertex labeled outside b: one pass per such covered set the walk
+    visits. A tester state counts as walked once it holds a move, so
+    `seen` holds system states only. Each move steps down one attractor
+    rank, so a bounded game's moves need no steps-left key: every play
+    stays within the initial state's rank, at most the game's
+    `budget`."""
     n, labels, succ, owner = g.n, g.labels, g.succ, g.owner
     vert, index = prod.vert, prod.index
     moves, seen = {}, set()
@@ -380,7 +384,7 @@ def _strategy(
             if (v, b) in moves:
                 continue
             if traps is not None and b.bit_count() == m - 1:
-                u = traps.exits(b)[v]
+                u = traps(b)[v]
             else:
                 u = vert[via[index[b * n + v]]]
             moves[(v, b)] = u
@@ -565,14 +569,15 @@ def _arena(g: LabeledGraph):
     return _needs(g), _predecessors(g.succ)
 
 
-def _trap(g: LabeledGameGraph, arena, outside: list[int]) -> tuple[set[int], list[int]]:
-    """The vertices from which the system keeps the play off `outside`
-    forever, the complement of the player-1 attractor of `outside`, and
-    that attractor's causes. `arena` is built once per query; its
-    counts are copied per call."""
+def _trap(arena, outside: list[int]) -> list[int | None]:
+    """The player-1 attractor of `outside`, as `_attractor`'s pullers.
+    The trap, the vertices from which the system keeps the play off
+    `outside` forever, is where the puller is None; at a tester vertex
+    outside it, the puller is a move one attractor rank nearer
+    `outside`. `arena` is built once per query; its counts are copied
+    per call."""
     need, pred = arena
-    via = _attractor(list(need), pred, outside)
-    return {v for v, u in enumerate(via) if u is None}, via
+    return _attractor(list(need), pred, outside)
 
 
 _LAYER_BITS = 1 << 26
@@ -588,13 +593,13 @@ nothing costs its build: no decision on the tests' wide games took over
 
 class _Traps:
     """Trap(P), the trap among the vertices labeled within proposition
-    set P, and the causes of its pass, memoized for one query. A pass
-    seeds its attractor with the vertex lists of the label classes
-    outside P. Propositions on no vertex leave that vertex set
-    unchanged, so the key drops them."""
+    set P, as the pullers of its pass (`_trap`), memoized for one query:
+    v lies in Trap(P) iff its puller is None. A pass seeds its attractor
+    with the vertex lists of the label classes outside P. Propositions on
+    no vertex leave that vertex set unchanged, so the key drops them."""
 
     def __init__(self, g: LabeledGameGraph):
-        self.g, self.arena, self.memo, self.causes = g, _arena(g), {}, {}
+        self.g, self.arena, self.memo = g, _arena(g), {}
         self.classes: dict[int, list[int]] = {}  # label -> its vertices
         for v, b in enumerate(g.labels):
             self.classes.setdefault(b, []).append(v)
@@ -606,20 +611,12 @@ class _Traps:
         """The vertices labeled outside `props`."""
         return [v for b, vs in self.classes.items() if b & ~props for v in vs]
 
-    def __call__(self, props: int) -> set[int]:
+    def __call__(self, props: int) -> list[int | None]:
         key = props & self.used
-        trap = self.memo.get(key)
-        if trap is None:
-            trap, self.causes[key] = _trap(self.g, self.arena, self.outside(key))
-            self.memo[key] = trap
-        return trap
-
-    def exits(self, b: int) -> list[int]:
-        """The causes of Trap(b)'s pass: at a tester vertex outside the
-        trap, a move one attractor rank nearer a vertex labeled outside b
-        (None inside the trap)."""
-        self(b)
-        return self.causes[b & self.used]
+        via = self.memo.get(key)
+        if via is None:
+            via = self.memo[key] = _trap(self.arena, self.outside(key))
+        return via
 
     def layer(self, d: int) -> tuple[list[int], Callable[[int], int]] | tuple[None, None]:
         """The trap layer of d: per vertex v an int with one bit per
@@ -686,9 +683,8 @@ def _omits(k: int, d: int) -> list[int]:
 def _confined(traps: _Traps, props: int) -> set[int] | None:
     """The part of the trap among the vertices labeled within `props`
     that the initial vertex reaches inside it; None if it is outside."""
-    g = traps.g
-    trap = traps(props)
-    return set(_reachable(_inside(g.succ, trap), g.initial)) if g.initial in trap else None
+    g, via = traps.g, traps(props)
+    return set(_reachable(_inside(g.succ, via), g.initial)) if via[g.initial] is None else None
 
 
 def _safety_bound(traps: _Traps) -> int:
@@ -699,14 +695,15 @@ def _safety_bound(traps: _Traps) -> int:
     g = traps.g
     props = (1 << len(g.ap)) - 1
     for bit in _bits(props & ~g.labels[g.initial]):
-        if g.initial in traps(props & ~bit):
+        if traps(props & ~bit)[g.initial] is None:
             props &= ~bit
     return cover_of(g, _confined(traps, props)).bit_count()
 
 
-def _inside(succ, vs: set[int]) -> list[list[int]]:
-    """Successor rows restricted to the edges between vertices of `vs`."""
-    return [[u for u in row if u in vs] if v in vs else [] for v, row in enumerate(succ)]
+def _inside(succ, via) -> list[list[int]]:
+    """Successor rows restricted to the edges within the trap of the
+    pullers `via`, the vertices whose puller is None."""
+    return [[u for u in row if via[u] is None] if via[v] is None else [] for v, row in enumerate(succ)]
 
 
 def _end_component_within(g: LabeledGameGraph, arena, outside: list[int]) -> set[int] | None:
@@ -717,10 +714,10 @@ def _end_component_within(g: LabeledGameGraph, arena, outside: list[int]) -> set
     initial vertex survives each round, and each further round removes
     a vertex."""
     v0 = g.initial
-    while v0 in (trap := _trap(g, arena, outside)[0]):
-        inside = _inside(g.succ, trap)
+    while (via := _trap(arena, outside))[v0] is None:
+        inside = _inside(g.succ, via)
         vs = set(_reachable(inside, v0)).intersection(_reachable(_predecessors(inside), v0))
-        if vs == trap:
+        if len(vs) == via.count(None):
             return vs
         outside = [v for v in range(g.n) if v not in vs]
     return None
@@ -786,28 +783,19 @@ def _bits(mask: int) -> list[int]:
     return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _is_end_component(g: LabeledGameGraph, vs: set[int]) -> bool:
-    """Strongly connected (an inside move everywhere, so singletons need
-    a self-loop) and closed under every player-1 edge. Both sweeps stay
-    inside vs and list each vertex once, so their sizes decide."""
-    inside = _inside(g.succ, vs)
-    for v in vs:
-        if not inside[v] or (g.owner[v] == PLAYER1 and len(inside[v]) != len(g.succ[v])):
-            return False
-    pivot, size = min(vs), len(vs)
-    return len(_reachable(inside, pivot)) == size == len(_reachable(_predecessors(inside), pivot))
-
-
 def verify_end_component_witness(
     g: LabeledGameGraph, vertices: Iterable[int], m: int
 ) -> bool:
     """Check a no-certificate: a valid end component through the initial
-    vertex whose label union stays below m. Polynomial time."""
+    vertex whose label union stays below m. Polynomial time: vs is an
+    end component iff the maximal one within it is vs itself, and each
+    round of that search but the last shrinks its candidate."""
     require_valid(g)
     vs = set(vertices)
     if not all(isinstance(v, int) and 0 <= v < g.n for v in vs) or g.initial not in vs:
         return False
-    return _is_end_component(g, vs) and cover_of(g, vs).bit_count() < m
+    outside = [v for v in range(g.n) if v not in vs]
+    return cover_of(g, vs).bit_count() < m and _end_component_within(g, _arena(g), outside) == vs
 
 
 def min_cover_end_component(

@@ -134,7 +134,9 @@ class TestSafetyBound:
         # |AP| + 1 trap passes on a 100,000-vertex ring whose traps keep
         # most of V; the work around the passes is linear as well, so the
         # bound reads about 9 passes, where work quadratic in a trap, such
-        # as building its vertex mask with sum(1 << v ...), reads about 30
+        # as building its vertex mask with sum(1 << v ...), reads about 30.
+        # A pass is timed as its attractor plus the trap's vertex set: the
+        # factor 3 was set for that unit, and the pullers alone cost less.
         g = dodging_ring(100_000)
         arena = game_cover._arena(g)
         outside = game_cover._Traps(g).outside(0b1110)
@@ -143,7 +145,8 @@ class TestSafetyBound:
         try:
             for _ in range(5):  # CPU time: other processes do not count
                 start = time.process_time()
-                game_cover._trap(g, arena, outside)
+                via = game_cover._trap(arena, outside)
+                {v for v, u in enumerate(via) if u is None}
                 passes.append(time.process_time() - start)
                 start = time.process_time()
                 assert game_cover._safety_bound(game_cover._Traps(g)) == 0

@@ -170,7 +170,8 @@ def test_layers_match_trap_passes(seed):
     full = (1 << len(g.ap)) - 1
 
     def trap(props: int) -> set[int]:
-        return game_cover._trap(g, traps.arena, traps.outside(props))[0]
+        via = game_cover._trap(traps.arena, traps.outside(props))
+        return {v for v, u in enumerate(via) if u is None}
 
     for m in range(1, len(used) + 1):
         d = len(used) - (m - 1)
@@ -244,7 +245,7 @@ def pass_bound(g, m) -> int:
     set at m - 1 that its strategy visits, and one with its layer
     refused one per covered set it classifies."""
     traps = _Traps(g)
-    live = [p for p in game_cover._bits(traps.used) if traps(traps.used & ~p)]
+    live = [p for p in game_cover._bits(traps.used) if None in traps(traps.used & ~p)]
     drop = traps.used.bit_count() - (m - 1)
     return math.comb(len(live), max(drop, 0)) + 2 * len(g.ap) + 1
 
