@@ -19,6 +19,7 @@ from .model import (
     LabeledGameGraph,
     LabeledGraph,
     SystemAutomaton,
+    _is_int,
     compile_system,
     mask_names,
 )
@@ -88,7 +89,7 @@ def _parse_graph(obj: dict, game: bool):
             raise FormatError("vertex ids must be strings")
         props = _prop_list(item.get("props"), f"vertex {name}")
         owner = item.get("owner")
-        if owner is not None and (isinstance(owner, bool) or owner not in (PLAYER1, PLAYER2)):
+        if owner is not None and not (_is_int(owner) and owner in (PLAYER1, PLAYER2)):
             raise FormatError(f"vertex {name}: owner must be 1 or 2")
         entries.append((name, props, owner))
     ap = _collect_ap(obj, (props for _, props, _ in entries))

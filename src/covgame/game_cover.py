@@ -49,9 +49,11 @@ trap) through the initial vertex; `_cheapest` searches P from both
 ends, in at most 2^(min(k, |AP|)+1) passes for k distinct label sets.
 
 Controllable recurrence is the tester's attractor of the initial vertex,
-one linear pass with no product; a forward sweep runs only when that
-attractor misses a vertex. A plain LabeledGraph is the game the tester
-owns entirely, so graph recurrence in graph_cover is this check.
+one linear pass with no product (`_recurrence`); a forward sweep runs
+only when that attractor misses a vertex, and is returned with the
+stray. A plain LabeledGraph is the game the tester owns entirely, so
+graph recurrence in graph_cover is this check, and its recurrent fast
+path reuses that sweep for its label union.
 """
 
 from __future__ import annotations
@@ -538,29 +540,21 @@ def is_controllably_recurrent_game(g: LabeledGraph) -> tuple[bool, int | None]:
     the smallest reachable vertex outside the return attractor. A plain
     LabeledGraph is the game the tester owns entirely: it is recurrent
     iff every reachable vertex has a path back."""
-    stray = _return_check(g)
+    stray = _recurrence(g)[0]
     return stray is None, stray
 
 
-def _return_check(g: LabeledGraph) -> int | None:
+def _recurrence(g: LabeledGraph) -> tuple[int | None, list[int] | None]:
     """The smallest vertex reachable from the initial vertex that lies
-    outside the tester's attractor of it, or None when there is none.
-    Linear in |V| + |E|. A stray lies outside the attractor, so the
-    forward sweep runs only when some vertex does."""
-    inside = _returns(g)
-    return None if None not in inside else _stray(inside, _reachable(g.succ, g.initial))
-
-
-def _returns(g: LabeledGraph) -> list[int | None]:
-    """The tester's attractor of the initial vertex, as `_attractor`'s pullers."""
+    outside the tester's attractor of it (None when there is none), and
+    the reachable set in BFS order, swept only when the attractor misses
+    some vertex (else None). Linear in |V| + |E|."""
     require_valid(g)
-    return _attractor(*_arena(g), [g.initial])
-
-
-def _stray(inside, reached: list[int]) -> int | None:
-    """The smallest vertex of `reached` outside the attractor `inside`,
-    or None."""
-    return None if None not in inside else min([v for v in reached if inside[v] is None], default=None)
+    inside = _attractor(*_arena(g), [g.initial])
+    if None not in inside:
+        return None, None
+    reached = _reachable(g.succ, g.initial)
+    return min([v for v in reached if inside[v] is None], default=None), reached
 
 
 def _arena(g: LabeledGraph):

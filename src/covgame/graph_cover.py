@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotRecurrentError
-from .game_cover import _return_check, _returns, _stray
+from .game_cover import _recurrence
 from .model import LabeledGraph, _reachable, check_target, cover_of, require_valid
 
 
@@ -182,7 +182,7 @@ def coverage_value_graph(g: LabeledGraph) -> GraphAnswer:
 def is_controllably_recurrent_graph(g: LabeledGraph) -> tuple[bool, int | None]:
     """The verdict, and the smallest reachable vertex with no path back to
     the initial vertex: recurrence of the game the tester owns entirely."""
-    stray = _return_check(g)
+    stray = _recurrence(g)[0]
     return stray is None, stray
 
 
@@ -193,13 +193,11 @@ def max_coverage_recurrent_graph(g: LabeledGraph) -> int:
     connected component of the initial vertex, so one path can sweep the
     whole reachable set and the value is just its label-union size.
     Otherwise NotRecurrentError names the smallest stray vertex. The
-    one forward sweep serves both the check and the label union.
+    label union reuses the check's forward sweep when it made one.
     """
-    inside = _returns(g)
-    reached = _reachable(g.succ, g.initial)
-    stray = _stray(inside, reached)
+    stray, reached = _recurrence(g)
     if stray is not None:
         raise NotRecurrentError(
             f"vertex {g.names[stray]!r} is reachable but cannot return to the initial vertex"
         )
-    return cover_of(g, reached).bit_count()
+    return cover_of(g, reached or _reachable(g.succ, g.initial)).bit_count()

@@ -223,11 +223,11 @@ def test_criterion_4_recurrent_fast_path():
     for n in sizes:
         g = _ladder_graph(n, seed=n)
         best = float("inf")
-        for _ in range(3):
+        for _ in range(5):  # CPU time: other processes do not count
             gc.disable()
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             max_coverage_recurrent_graph(g)
-            best = min(best, time.perf_counter() - t0)
+            best = min(best, time.process_time() - t0)
             gc.enable()
         measured.append((g.n + g.edge_count(), best))
     times = [t for _, t in measured]

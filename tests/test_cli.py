@@ -521,6 +521,13 @@ class TestMalformedInputs:
         path = write(tmp_path, json.dumps(obj), "game.cov")
         self.assert_usage_error(capsys, ["solve", path, "--m", "1"])
 
+    @pytest.mark.parametrize("owner", [1.0, 2.0])
+    def test_float_owner(self, capsys, tmp_path, owner):
+        obj = json.loads(json.dumps(STRATEGY_GAME))
+        obj["vertices"][0]["owner"] = owner
+        path = write(tmp_path, json.dumps(obj), "game.cov")
+        self.assert_usage_error(capsys, ["solve", path, "--m", "1"])
+
     @pytest.mark.parametrize("budget", [-1, "2", True], ids=["negative", "string", "bool"])
     def test_path_budget_not_a_count(self, capsys, tmp_path, budget):
         witness = {"kind": "path", "m": 3, "budget": budget, "vertices": ["a", "b", "c"]}
@@ -579,6 +586,35 @@ class TestVerify:
         )
         path = write_model(tmp_path, g)
         assert main(["verify", path, "--m", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_game_oracle_agrees_with_solver(self, capsys):
+        path = DEMO_MODELS / "handshake.game.cov"
+        game, model = formats.loads(path.read_text()), str(path)
+        assert [max_coverage_game(game, m).decision for m in range(4)] == [True, True, True, False]
+        for m in range(len(game.ap) + 1):
+            code, out = run_cli(capsys, "verify", model, "--m", str(m), "--json")
+            decision = max_coverage_game(game, m).decision
+            assert json.loads(out)["decision"] is decision
+            assert code == (0 if decision else 1)
+            for k in range(4):
+                code, out = run_cli(capsys, "verify", model, "--m", str(m), "--k", str(k), "--json")
+                decision = bounded_coverage_game(game, m, k).decision
+                assert json.loads(out)["decision"] is decision
+                assert code == (0 if decision else 1)
+
+    def test_long_game_exceeds_budget(self, capsys, tmp_path):
+        # the game oracle recurses once per step too
+        n = 3000
+        g = LabeledGameGraph.make_game(
+            ["p"],
+            [(f"v{i}", ["p"] if i == n - 1 else [], 1) for i in range(n)],
+            [(f"v{i}", f"v{min(i + 1, n - 1)}") for i in range(n)],
+            "v0",
+        )
+        path = write_model(tmp_path, g)
+        assert main(["verify", path, "--m", "1"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 

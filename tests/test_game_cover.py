@@ -143,7 +143,7 @@ class TestSafetyBound:
         passes, bounds = [], []
         gc.disable()  # a full collection costs the heap, not the work
         try:
-            for _ in range(5):  # CPU time: other processes do not count
+            for _ in range(9):  # CPU time: other processes do not count
                 start = time.process_time()
                 via = game_cover._trap(arena, outside)
                 {v for v, u in enumerate(via) if u is None}

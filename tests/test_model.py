@@ -202,9 +202,10 @@ class TestSerialization:
 
     def test_bool_owner_rejected(self, adversarial_game):
         obj = formats.render_obj(adversarial_game)
-        obj["vertices"][0]["owner"] = True  # True == 1, but not a player id
-        with pytest.raises(FormatError):
-            formats.parse_obj(obj)
+        for owner in (True, 1.0, 2.0):  # equal to a player id, but not an int
+            obj["vertices"][0]["owner"] = owner
+            with pytest.raises(FormatError):
+                formats.parse_obj(obj)
 
     def test_dot_export_shapes(self, adversarial_game, triangle):
         dot = formats.to_dot(adversarial_game)

@@ -5,6 +5,7 @@ pay for a sweep."""
 
 import json
 import random
+import re
 
 import pytest
 
@@ -21,7 +22,7 @@ from covgame import (
     is_controllably_recurrent_graph,
     max_coverage_recurrent_graph,
 )
-from covgame.game_cover import _return_check
+from covgame.game_cover import _recurrence
 from covgame.model import _reachable
 from genmodels import (
     random_game,
@@ -88,10 +89,18 @@ def test_return_check_matches_the_earlier_definition():
     for g in corpus():
         order, attractor, stray = reference_return_check(g)
         want = (stray is None, stray)
-        assert _return_check(g) == stray
+        assert _recurrence(g) == (stray, None if len(attractor) == g.n else order)
         assert is_controllably_recurrent_game(g) == want
         if not isinstance(g, LabeledGameGraph):
             assert is_controllably_recurrent_graph(g) == want
+            if stray is None:
+                union = 0
+                for v in order:
+                    union |= g.labels[v]
+                assert max_coverage_recurrent_graph(g) == union.bit_count()
+            else:
+                with pytest.raises(NotRecurrentError, match=re.escape(repr(g.names[stray]))):
+                    max_coverage_recurrent_graph(g)
         unreached = set(range(g.n)) - set(order)
         seen["recurrent" if stray is None else "not recurrent"] += 1
         seen["fast"] += len(attractor) == g.n
