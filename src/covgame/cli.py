@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import formats, oracle
-from .errors import BudgetExceededError, CoverageError, FormatError
+from .errors import BudgetExceededError, CoverageError, FormatError, NotRecurrentError
 from .game_cover import (
     GameAnswer,
     TesterStrategy,
@@ -70,7 +70,7 @@ def _read_text(path: str) -> str:
 
 
 def _load_model(args):
-    model = formats.loads(_read_text(args.model), args.kind)
+    model = formats.loads(_read_text(args.model))
     patched: tuple[str, ...] = ()
     if args.patch_self_loops:
         model, patched = patch_self_loops(model)
@@ -214,17 +214,22 @@ def _cmd_bounded(args) -> int:
 
 def _cmd_recurrent(args) -> int:
     model, out = _load_playable(args)
-    recurrent, stray = is_controllably_recurrent_game(model)
-    out["recurrent"] = recurrent
-    out["counterexample"] = None if stray is None else model.names[stray]
-    lines = [f"controllably recurrent: {'yes' if recurrent else 'no'}"]
+    if isinstance(model, LabeledGameGraph):
+        stray = is_controllably_recurrent_game(model)[1]
+        stray = None if stray is None else model.names[stray]
+    else:
+        try:  # the fast path runs the one check, and names its stray
+            out["value"], stray = max_coverage_recurrent_graph(model), None
+        except NotRecurrentError as exc:
+            stray = exc.vertex
+    out["recurrent"], out["counterexample"] = stray is None, stray
+    lines = [f"controllably recurrent: {'yes' if stray is None else 'no'}"]
     if stray is not None:
-        lines.append(f"counterexample: {model.names[stray]} cannot be forced back")
-    if recurrent and not isinstance(model, LabeledGameGraph):
-        out["value"] = max_coverage_recurrent_graph(model)
+        lines.append(f"counterexample: {stray} cannot be forced back")
+    if "value" in out:
         lines.append(f"value (component fast path): {out['value']}")
     _emit(args, out, lines)
-    return 0 if recurrent else 1
+    return 0 if stray is None else 1
 
 
 def _cmd_compile(args) -> int:
@@ -342,12 +347,6 @@ def _cmd_verify(args) -> int:
 def _parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", action="store_true", help="machine-readable output")
-    shared.add_argument(
-        "--kind",
-        choices=formats.KINDS,
-        default="auto",
-        help="override model-kind inference",
-    )
     shared.add_argument(
         "--patch-self-loops",
         action="store_true",

@@ -36,7 +36,12 @@ class ApCapExceededError(CoverageError):
 
 
 class NotRecurrentError(CoverageError):
-    """Operation defined only for controllably recurrent models."""
+    """Operation defined only for controllably recurrent models. `vertex`
+    names the reachable vertex found unable to return, if any."""
+
+    def __init__(self, message, vertex=None):
+        self.vertex = vertex
+        super().__init__(message)
 
 
 class BudgetExceededError(CoverageError):

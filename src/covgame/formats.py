@@ -24,8 +24,6 @@ from .model import (
     mask_names,
 )
 
-KINDS = ("auto", "graph", "game", "system")
-
 
 def sniff_kind(obj: dict) -> str:
     """Infer the model kind from the fields present."""
@@ -39,14 +37,11 @@ def sniff_kind(obj: dict) -> str:
     return "graph"
 
 
-def parse_obj(obj: Any, kind: str = "auto"):
+def parse_obj(obj: Any):
     """Build a model from a decoded interchange object."""
     if not isinstance(obj, dict):
         raise FormatError("model must be a JSON object")
-    if kind not in KINDS:
-        raise FormatError(f"unknown kind {kind!r}")
-    if kind == "auto":
-        kind = sniff_kind(obj)
+    kind = sniff_kind(obj)
     if kind == "system":
         return _parse_system(obj)
     return _parse_graph(obj, game=kind == "game")
@@ -179,8 +174,8 @@ def decode(text: str) -> Any:
         raise FormatError("JSON nested too deeply") from None
 
 
-def loads(text: str, kind: str = "auto"):
-    return parse_obj(decode(text), kind)
+def loads(text: str):
+    return parse_obj(decode(text))
 
 
 def dumps(model) -> str:

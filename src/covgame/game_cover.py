@@ -685,13 +685,19 @@ def _safety_bound(traps: _Traps) -> int:
     """Greedy upper bound on the value in |AP| + 1 linear passes: from
     P = AP, drop each proposition whose loss keeps v_in in the trap of
     the vertices labeled within P; the system confines every play to
-    the `_confined` set of the final P, so no tester covers more."""
+    the `_confined` set S of the final P, so no tester covers more.
+
+    The cover of S is P itself, so no sweep of S is needed. It lies
+    within P, and holds L(v_in). A kept p outside L(v_in) failed its
+    test: v_in was outside Trap(P' - p) for the P' ⊇ P of that moment.
+    Were p missing from S's labels, S, a trap labeled within P - p,
+    would lie inside Trap(P' - p), and v_in with it."""
     g = traps.g
     props = (1 << len(g.ap)) - 1
     for bit in _bits(props & ~g.labels[g.initial]):
         if traps(props & ~bit)[g.initial] is None:
             props &= ~bit
-    return cover_of(g, _confined(traps, props)).bit_count()
+    return props.bit_count()
 
 
 def _inside(succ, via) -> list[list[int]]:

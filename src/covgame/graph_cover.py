@@ -192,12 +192,13 @@ def max_coverage_recurrent_graph(g: LabeledGraph) -> int:
     Under recurrence every reachable vertex sits inside the strongly
     connected component of the initial vertex, so one path can sweep the
     whole reachable set and the value is just its label-union size.
-    Otherwise NotRecurrentError names the smallest stray vertex. The
-    label union reuses the check's forward sweep when it made one.
+    Otherwise NotRecurrentError names the smallest stray vertex, in its
+    message and as its `vertex`. The label union reuses the check's
+    forward sweep when it made one.
     """
     stray, reached = _recurrence(g)
     if stray is not None:
-        raise NotRecurrentError(
-            f"vertex {g.names[stray]!r} is reachable but cannot return to the initial vertex"
-        )
+        name = g.names[stray]
+        message = f"vertex {name!r} is reachable but cannot return to the initial vertex"
+        raise NotRecurrentError(message, name)
     return cover_of(g, reached or _reachable(g.succ, g.initial)).bit_count()

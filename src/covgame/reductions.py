@@ -1,17 +1,16 @@
 """Hardness-reduction gadgets, usable both as instance generators and as
 cross-validation targets for the solvers.
 
-sat / qbf build the clause-chain gadget: one vertex per surviving
-variable, a chain of clause-labeled vertices per truth value, and a
+sat / qbf build the clause-chain gadget: one vertex per variable of the
+prefix, a chain of clause-labeled vertices per truth value, and a
 shared absorbing terminal; choosing a branch at a variable vertex is
-choosing its assignment. vc builds the edge-choice game in which the
+choosing its assignment. No preprocessing runs first. vc builds the edge-choice game in which the
 system names an endpoint of whichever edge the tester probes. hampath
 relabels a digraph with one proposition per vertex.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, EmptyEdgeSetError, FormatError
@@ -100,153 +99,56 @@ class GadgetResult:
 
 
 # ---------------------------------------------------------------------------
-# clause-chain normalization shared by sat and qbf
+# clause chains shared by sat and qbf
 
 
-@dataclass
-class _Normalized:
-    order: list[tuple[str, int]]  # surviving prefix, both polarities occur
-    live: dict[int, list[int]]  # surviving clauses by original 1-based index
-    satisfied: list[int]  # clause indices satisfied during elimination
-    forced: dict[int, bool]
-    contradiction: bool
+def _chain_model(prefix, clauses, game: bool):
+    """Assemble the chain gadget over the whole prefix.
 
-
-def _normalize(prefix, clauses) -> _Normalized:
-    """Eliminate one-sided variables to fixpoint.
-
-    Existential variables take the helpful polarity: their clauses are
-    removed and counted as satisfied. Universal variables take the
-    hostile polarity: their literals are struck, and a clause struck
-    empty falsifies the whole formula. Each round eliminates the first
-    one-sided variable in prefix order, so the result is deterministic.
-
-    Occurrence counts only fall, so a one-sided variable stays one: a
-    heap of prefix positions yields each round's pick, and the whole
-    elimination is linear in the formula up to the heap's log factor.
+    Each variable vertex, owned by the tester for an existential and by
+    the system for a universal, branches into a true chain and a false
+    chain: the clause vertices holding that literal, in clause order,
+    ending at the next variable vertex (the last at the absorbing
+    terminal). A literal that occurs in no clause gives an empty chain,
+    one edge straight to the next variable. The proposition universe is
+    C1..Cm plus the variables' shared mark X.
     """
-    live = {i: list(cl) for i, cl in enumerate(clauses, 1)}
-    at = {var: k for k, (_, var) in enumerate(prefix)}
-    occurs: dict[int, list[int]] = {}  # literal -> clause indices, one per occurrence
-    for idx, lits in live.items():
-        for lit in lits:
-            if abs(lit) in at:
-                occurs.setdefault(lit, []).append(idx)
-    count = {lit: len(ids) for lit, ids in occurs.items()}
-    ready = [k for k, (_, var) in enumerate(prefix) if not count.get(var) or not count.get(-var)]
-    heapq.heapify(ready)
-    gone: set[int] = set()
-    satisfied: list[int] = []
-    forced: dict[int, bool] = {}
-    contradiction = False
-    while ready and not contradiction:
-        k = heapq.heappop(ready)
-        if k in gone:
-            continue
-        gone.add(k)
-        q, var = prefix[k]
-        posx = sorted({i for i in occurs.get(var, ()) if i in live})
-        negx = sorted({i for i in occurs.get(-var, ()) if i in live})
-        if not posx and not negx:
-            forced[var] = True  # vacuous either way
-            continue
-        if q == "e":
-            value = bool(posx)  # pick the polarity that satisfies something
-            forced[var] = value
-            for idx in posx if value else negx:
-                for lit in live.pop(idx):
-                    if abs(lit) in at and at[abs(lit)] not in gone:
-                        count[lit] -= 1
-                        if not count[lit]:
-                            heapq.heappush(ready, at[abs(lit)])
-                satisfied.append(idx)
-        else:
-            value = not posx  # the adversary satisfies nothing
-            forced[var] = value
-            struck = -var if value else var
-            for idx in negx if value else posx:
-                live[idx] = [lit for lit in live[idx] if lit != struck]
-                if not live[idx]:
-                    contradiction = True
-    order = [entry for k, entry in enumerate(prefix) if k not in gone]
-    return _Normalized(order, live, sorted(satisfied), forced, contradiction)
-
-
-def _chain_model(norm: _Normalized, total_clauses: int, game: bool):
-    """Assemble the chain gadget over the surviving prefix.
-
-    The proposition universe is C1..Cm plus the variables' shared mark X.
-    Clauses satisfied during normalization are credited on the entry
-    vertex, so the headline coverage properties hold for the original
-    formula, not the reduced one. A contradiction or an empty matrix
-    collapses to the single absorbing terminal.
-    """
-    ap = tuple(f"C{i}" for i in range(1, total_clauses + 1)) + ("X",)
-    bonus = () if norm.contradiction else tuple(f"C{i}" for i in norm.satisfied)
-    if norm.contradiction or not norm.order:
-        vertices = [("x_end", ("X",) + bonus, PLAYER2)]
-        edges = [("x_end", "x_end")]
-        initial = "x_end"
-        return _assemble(ap, vertices, edges, initial, game)
-
-    sides: dict[int, set[int]] = {}  # literal -> clauses holding it
-    for i, lits in norm.live.items():
-        for lit in lits:
-            sides.setdefault(lit, set()).add(i)
-    occurrences = {
-        var: (sorted(sides.get(var, ())), sorted(sides.get(-var, ()))) for _, var in norm.order
-    }
+    ap = tuple(f"C{i}" for i in range(1, len(clauses) + 1)) + ("X",)
+    holders: dict[int, list[int]] = {}  # literal -> clauses holding it
+    for i, lits in enumerate(clauses, 1):
+        for lit in dict.fromkeys(lits):
+            holders.setdefault(lit, []).append(i)
 
     vertices: list[tuple[str, tuple[str, ...], int]] = []
     edges: list[tuple[str, str]] = []
-    var_names = [f"x{var}" for _, var in norm.order] + ["x_end"]
-    for pos, (q, var) in enumerate(norm.order):
-        here, after = var_names[pos], var_names[pos + 1]
-        props = ("X",) + bonus if pos == 0 else ("X",)
-        owner = PLAYER1 if q == "e" else PLAYER2
-        vertices.append((here, props, owner))
-        for tag, side in (("t", occurrences[var][0]), ("f", occurrences[var][1])):
-            chain = [f"x{var}_{tag}_{i}" for i in side]
-            for name, idx in zip(chain, side):
-                vertices.append((name, (f"C{idx}",), PLAYER1))
-            edges.append((here, chain[0]))
-            edges.extend(zip(chain, chain[1:]))
-            edges.append((chain[-1], after))
+    var_names = [f"x{var}" for _, var in prefix] + ["x_end"]
+    for (q, var), here, after in zip(prefix, var_names, var_names[1:]):
+        vertices.append((here, ("X",), PLAYER1 if q == "e" else PLAYER2))
+        for tag, lit in (("t", var), ("f", -var)):
+            chain = [here]
+            for i in holders.get(lit, ()):
+                chain.append(f"x{var}_{tag}_{i}")
+                vertices.append((chain[-1], (f"C{i}",), PLAYER1))
+            edges.extend(zip(chain, chain[1:] + [after]))
     vertices.append(("x_end", ("X",), PLAYER2))
     edges.append(("x_end", "x_end"))
-    return _assemble(ap, vertices, edges, var_names[0], game)
-
-
-def _assemble(ap, vertices, edges, initial, game):
     if game:
-        return LabeledGameGraph.make_game(ap, vertices, edges, initial)
-    return LabeledGraph.make(ap, [(n, p) for n, p, _ in vertices], edges, initial)
-
-
-def _norm_metadata(norm: _Normalized) -> dict:
-    return {
-        "offset": len(norm.satisfied),
-        "satisfied_by_elimination": [f"C{i}" for i in norm.satisfied],
-        "eliminated": {f"x{var}": value for var, value in sorted(norm.forced.items())},
-        "trivial": norm.contradiction or not norm.order,
-    }
+        return LabeledGameGraph.make_game(ap, vertices, edges, var_names[0])
+    return LabeledGraph.make(ap, [(n, p) for n, p, _ in vertices], edges, var_names[0])
 
 
 def sat_to_graph(phi: CnfFormula) -> GadgetResult:
     """Clause-chain graph whose coverage value is maxsat(phi) + 1; phi is
     satisfiable iff the value reaches target_m = clauses + 1."""
     phi.check()
-    prefix = tuple(("e", var) for var in range(1, phi.num_vars + 1))
-    norm = _normalize(prefix, phi.clauses)
-    assert not norm.contradiction  # existential elimination never empties a clause
-    model = _chain_model(norm, len(phi.clauses), game=False)
+    prefix = [("e", var) for var in range(1, phi.num_vars + 1)]
     meta = {
         "reduction": "sat",
         "variables": phi.num_vars,
         "clauses": len(phi.clauses),
         "property": "coverage value equals maxsat + 1",
     }
-    meta.update(_norm_metadata(norm))
+    model = _chain_model(prefix, phi.clauses, game=False)
     return GadgetResult(model, len(phi.clauses) + 1, None, meta)
 
 
@@ -255,16 +157,13 @@ def qbf_to_game(phi: QbfFormula) -> GadgetResult:
     system universal ones. phi is true iff the tester can force coverage
     of target_m = clauses + 1 propositions."""
     phi.check()
-    norm = _normalize(phi.prefix, phi.matrix.clauses)
-    model = _chain_model(norm, len(phi.matrix.clauses), game=True)
     meta = {
         "reduction": "qbf",
         "variables": phi.matrix.num_vars,
         "clauses": len(phi.matrix.clauses),
-        "contradiction": norm.contradiction,
         "property": "formula true iff game coverage value >= target_m",
     }
-    meta.update(_norm_metadata(norm))
+    model = _chain_model(phi.prefix, phi.matrix.clauses, game=True)
     return GadgetResult(model, len(phi.matrix.clauses) + 1, None, meta)
 
 

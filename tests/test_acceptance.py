@@ -22,6 +22,7 @@ from covgame import (
     formats,
     hampath_to_bounded,
     is_controllably_recurrent_game,
+    is_controllably_recurrent_graph,
     max_coverage_game,
     max_coverage_graph,
     max_coverage_recurrent_graph,
@@ -212,33 +213,64 @@ def _ladder_graph(n: int, seed: int) -> LabeledGraph:
     )
 
 
-def test_criterion_4_recurrent_fast_path():
-    rng = random.Random(20260810)
-    for _ in range(SC_CORPUS):
-        g = random_strongly_connected_graph(rng)
-        assert max_coverage_recurrent_graph(g) == coverage_value_graph(g).value
+def _ladder_with_stray(n: int, seed: int) -> LabeledGraph:
+    """The ladder plus one vertex its last vertex enters, which only
+    loops on itself: reachable, and unable to return."""
+    g = _ladder_graph(n, seed)
+    return LabeledGraph(
+        g.ap,
+        g.names + (f"v{n}",),
+        g.succ[:-1] + (g.succ[-1] + (n,), (n,)),
+        g.labels + (0,),
+        0,
+    )
 
-    sizes = [20_000, 60_000, 200_000]
+
+def _linear_time(fn, graphs) -> tuple[list, float]:
+    """(size, min of 5 CPU times of fn(g)) per graph, asserted monotone,
+    and the spread of time per unit of size."""
     measured = []
-    for n in sizes:
-        g = _ladder_graph(n, seed=n)
+    for g in graphs:
         best = float("inf")
         for _ in range(5):  # CPU time: other processes do not count
             gc.disable()
             t0 = time.process_time()
-            max_coverage_recurrent_graph(g)
+            fn(g)
             best = min(best, time.process_time() - t0)
             gc.enable()
         measured.append((g.n + g.edge_count(), best))
     times = [t for _, t in measured]
     assert times == sorted(times), f"not monotone: {measured}"
     per_unit = [t / size for size, t in measured]
-    spread = max(per_unit) / min(per_unit)
+    return measured, max(per_unit) / min(per_unit)
+
+
+LADDER_SIZES = [20_000, 60_000, 200_000]
+
+
+def test_criterion_4_recurrent_fast_path():
+    rng = random.Random(20260810)
+    for _ in range(SC_CORPUS):
+        g = random_strongly_connected_graph(rng)
+        assert max_coverage_recurrent_graph(g) == coverage_value_graph(g).value
+
+    ladders = [_ladder_graph(n, seed=n) for n in LADDER_SIZES]
+    measured, spread = _linear_time(max_coverage_recurrent_graph, ladders)
     assert spread <= 3.0, f"super-linear scaling: {measured}"
     report(
         f"4 (recurrent fast path): PASS on {SC_CORPUS} graphs; "
-        f"ladder {sizes} within {spread:.2f}x of linear"
+        f"ladder {LADDER_SIZES} within {spread:.2f}x of linear"
     )
+
+
+def test_criterion_4_stray_search_is_linear():
+    # the stray lies outside the return attractor, so the check sweeps
+    # the reachable set and searches it for the smallest stray
+    ladders = [_ladder_with_stray(n, seed=n) for n in LADDER_SIZES]
+    for n, g in zip(LADDER_SIZES, ladders):
+        assert is_controllably_recurrent_graph(g) == (False, n)
+    measured, spread = _linear_time(is_controllably_recurrent_graph, ladders)
+    assert spread <= 3.0, f"super-linear scaling: {measured}"
 
 
 def test_criterion_5_end_component_equivalence():

@@ -23,6 +23,7 @@ from covgame import (
     is_controllably_recurrent_game,
     max_coverage_game,
     max_coverage_graph,
+    max_coverage_recurrent_graph,
 )
 from covgame.cli import _parser, main
 from genmodels import wide_games
@@ -168,6 +169,42 @@ class TestRecurrent:
         code, out = run_cli(capsys, "recurrent", game_file, "--json")
         assert code == 1
         assert json.loads(out)["counterexample"] == "a"
+
+    def test_one_return_attractor_per_call(self, capsys, monkeypatch, tmp_path, game_file):
+        from covgame import game_cover
+
+        # z is unreachable and cannot return, so the check sweeps the
+        # reachable set, and the fast value is the union of its labels
+        swept = LabeledGraph.make(
+            ("p", "q", "r"),
+            [("a", ("p",)), ("b", ("q",)), ("z", ("r",))],
+            [("a", "b"), ("b", "a"), ("z", "z")],
+            "a",
+        )
+        stray = LabeledGraph.make(
+            ("p", "q", "r"),
+            [("a", ("p",)), ("b", ("q",)), ("z", ("r",))],
+            [("a", "b"), ("b", "a"), ("a", "z"), ("z", "z")],
+            "a",
+        )
+        calls = []
+        attractor = game_cover._attractor
+
+        def counted(*args):
+            calls.append(args)
+            return attractor(*args)
+
+        monkeypatch.setattr(game_cover, "_attractor", counted)
+        demos = [str(DEMO_MODELS / name) for name in ("triangle.cov", "handshake.game.cov", "flaky.system.cov")]
+        for path in demos + [game_file, write_model(tmp_path, stray, "stray.cov")]:
+            calls.clear()
+            code, out = run_cli(capsys, "recurrent", path, "--json")
+            assert len(calls) == 1, path
+        assert code == 1 and json.loads(out)["counterexample"] == "z"
+        calls.clear()
+        code, out = run_cli(capsys, "recurrent", write_model(tmp_path, swept, "swept.cov"), "--json")
+        assert len(calls) == 1
+        assert code == 0 and json.loads(out)["value"] == 2 == max_coverage_recurrent_graph(swept)
 
 
 class TestCompileAndDot:
@@ -688,6 +725,13 @@ class TestOneWayToAsk:
             main(["solve", str(DEMO_MODELS / "triangle.cov"), "--m", "1", "--low-memory"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --low-memory" in capsys.readouterr().err
+
+    def test_kind_flag_is_gone(self, capsys):
+        # the kind is inferred from the fields present, never overridden
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(DEMO_MODELS / "triangle.cov"), "--m", "1", "--kind", "graph"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kind graph" in capsys.readouterr().err
 
     def test_cli_uses_only_public_solver_names(self):
         tree = ast.parse(Path(SRC, "covgame", "cli.py").read_text())

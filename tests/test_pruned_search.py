@@ -19,7 +19,7 @@ from covgame import (
 )
 from covgame.game_cover import _Traps, _confined, _safety_bound
 from covgame.graph_cover import _reach_labels
-from covgame.model import _reachable
+from covgame.model import _reachable, cover_of
 from genmodels import random_game, random_graph
 
 seeds = given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -86,10 +86,19 @@ def oracle_value(g):
 @seeds
 def test_safety_bound_caps_the_value(seed):
     g = random_game(random.Random(seed), 6, 3)
-    ub = _safety_bound(_Traps(g))
+    traps = _Traps(g)
+    ub = _safety_bound(traps)
     assert oracle_value(g) <= ub
     # greedy, so never below the cheapest confining set
     assert min_safety_value(g)[0] <= ub <= len(g.ap)
+    # the greedy P, rebuilt: the part of its trap that v_in reaches
+    # carries every proposition of P, so ub is |P| with no sweep
+    props = (1 << len(g.ap)) - 1
+    for p in range(len(g.ap)):
+        if not g.labels[g.initial] >> p & 1 and traps(props & ~(1 << p))[g.initial] is None:
+            props &= ~(1 << p)
+    assert cover_of(g, _confined(traps, props)) == props
+    assert ub == props.bit_count()
 
 
 @examples

@@ -29,7 +29,6 @@ from covgame import (
     vc_to_game,
 )
 from covgame import reductions
-from covgame.reductions import _Normalized, _normalize
 from genmodels import random_cnf, random_digraph, random_qbf, random_undirected
 
 
@@ -50,30 +49,25 @@ class TestSatGadget:
         rng = random.Random(7)
         for _ in range(60):
             phi = random_cnf(rng)
-            # restrict to formulas the gadget takes verbatim
-            pos = {v: 0 for v in range(1, phi.num_vars + 1)}
-            neg = {v: 0 for v in range(1, phi.num_vars + 1)}
-            for clause in phi.clauses:
-                for lit in clause:
-                    (pos if lit > 0 else neg)[abs(lit)] += 1
-            if not all(pos[v] and neg[v] for v in pos):
-                continue
             res = sat_to_graph(phi)
             # count distinct (variable, polarity, clause) chain vertices directly
             chain = sum(
                 len({i for i, cl in enumerate(phi.clauses) if v in cl})
                 + len({i for i, cl in enumerate(phi.clauses) if -v in cl})
-                for v in pos
+                for v in range(1, phi.num_vars + 1)
             )
             assert res.model.n == (phi.num_vars + 1) + chain
 
-    def test_normalization_offset(self):
-        # x2 occurs only positively: forced true, its clauses credited up front
-        phi = CnfFormula.of(2, [(1, 2), (-1,), (2,)])
-        res = sat_to_graph(phi)
-        assert res.metadata["offset"] == 3
-        assert res.metadata["trivial"]
-        assert coverage_value_graph(res.model).value == oracle.maxsat_brute(phi) + 1
+    def test_unused_variables_are_linear(self):
+        # 20,000 variable vertices, the terminal and one chain vertex; an
+        # empty chain is one edge, so the build runs a bounded number of
+        # lines per variable
+        phi = parse_dimacs("p cnf 20000 1\n1 0\n")
+        res, lines = lines_run(sat_to_graph, phi)
+        assert res.model.n == 20_002
+        assert res.model.succ[res.model.id_of["x20000"]] == (res.model.id_of["x_end"],)
+        assert coverage_value_graph(res.model).value == 2
+        assert lines < 40 * phi.num_vars
 
     def test_gadgets_validate_and_match_maxsat(self):
         rng = random.Random(11)
@@ -94,105 +88,6 @@ class TestSatGadget:
             satisfiable = oracle.maxsat_brute(phi) == len(phi.clauses)
             decided = coverage_value_graph(res.model).value >= res.target_m
             assert satisfiable == decided
-
-
-def rescan_normalize(prefix, clauses) -> _Normalized:
-    """The earlier elimination, kept as the reference: it rescans every
-    clause and variable after each elimination, so it is quadratic.
-
-    Existential variables take the helpful polarity: their clauses are
-    removed and counted as satisfied. Universal variables take the
-    hostile polarity: their literals are struck, and a clause struck
-    empty falsifies the whole formula. Scanning is left to right, so the
-    result is deterministic.
-    """
-    live = {i: list(cl) for i, cl in enumerate(clauses, 1)}
-    order = list(prefix)
-    satisfied: list[int] = []
-    forced: dict[int, bool] = {}
-    contradiction = False
-    while not contradiction:
-        pos: dict[int, list[int]] = {var: [] for _, var in order}
-        neg: dict[int, list[int]] = {var: [] for _, var in order}
-        for idx, lits in live.items():
-            for lit in lits:
-                side = pos if lit > 0 else neg
-                if abs(lit) in side:
-                    side[abs(lit)].append(idx)
-        pick = None
-        for q, var in order:
-            if not pos[var] or not neg[var]:
-                pick = (q, var)
-                break
-        if pick is None:
-            break
-        q, var = pick
-        order.remove(pick)
-        posx, negx = sorted(set(pos[var])), sorted(set(neg[var]))
-        if not posx and not negx:
-            forced[var] = True  # vacuous either way
-            continue
-        if q == "e":
-            value = bool(posx)  # pick the polarity that satisfies something
-            forced[var] = value
-            for idx in posx if value else negx:
-                del live[idx]
-                satisfied.append(idx)
-        else:
-            value = not posx  # the adversary satisfies nothing
-            forced[var] = value
-            struck = -var if value else var
-            for idx in negx if value else posx:
-                live[idx] = [lit for lit in live[idx] if lit != struck]
-                if not live[idx]:
-                    contradiction = True
-    return _Normalized(order, live, sorted(satisfied), forced, contradiction)
-
-
-def with_unused_variables(rng, prefix, clauses):
-    """The same matrix with extra declared variables that no clause
-    uses, slotted into the prefix at random places."""
-    n = len(prefix)
-    extra = rng.randint(1, 6)
-    prefix = list(prefix)
-    for var in range(n + 1, n + extra + 1):
-        prefix.insert(rng.randint(0, len(prefix)), (rng.choice("ea"), var))
-    return prefix, clauses
-
-
-class TestNormalization:
-    def test_matches_the_rescanning_elimination(self):
-        rng = random.Random(41)
-        for trial in range(1500):
-            if trial % 2:
-                phi = random_qbf(rng, 6, 8)
-                prefix, clauses = list(phi.prefix), phi.matrix.clauses
-            else:
-                phi = random_cnf(rng, 6, 8)
-                prefix = [("e", var) for var in range(1, phi.num_vars + 1)]
-                clauses = phi.clauses
-            if rng.random() < 0.7:
-                prefix, clauses = with_unused_variables(rng, prefix, clauses)
-            assert _normalize(prefix, clauses) == rescan_normalize(prefix, clauses)
-
-    def test_contradiction_stops_before_later_variables(self):
-        # x1 is universal and one-sided: striking it empties clause 1, so
-        # the vacuous x3 and the one-sided x2 after it stay in the prefix
-        prefix = [("a", 1), ("e", 2), ("e", 3)]
-        clauses = ((1,), (2, 1))
-        norm = _normalize(prefix, clauses)
-        assert norm.contradiction and norm.order == [("e", 2), ("e", 3)]
-        assert norm == rescan_normalize(prefix, clauses)
-
-    def test_unused_variables_are_linear(self):
-        # rescanning the prefix after each elimination would run about
-        # n^2 / 2 lines; the linear elimination runs about 15 per variable
-        n = 3000
-        norm, lines = lines_run(_normalize, [("e", var) for var in range(1, n + 1)], ((1,),))
-        assert norm.satisfied == [1] and norm.forced[n] is True
-        assert lines < 40 * n
-        res = sat_to_graph(parse_dimacs("p cnf 20000 1\n1 0\n"))
-        assert res.metadata["eliminated"]["x20000"] is True
 
 
 def lines_run(fn, *args):
