@@ -31,10 +31,6 @@ class MOutOfRangeError(CoverageError):
     """Requested coverage target outside 0..|AP| (or a negative step bound)."""
 
 
-class ApCapExceededError(CoverageError):
-    """Proposition universe larger than the configured product cap."""
-
-
 class NotRecurrentError(CoverageError):
     """Operation defined only for controllably recurrent models. `vertex`
     names the reachable vertex found unable to return, if any."""
@@ -46,6 +42,10 @@ class NotRecurrentError(CoverageError):
 
 class BudgetExceededError(CoverageError):
     """An exhaustive search hit its expansion budget; no answer produced."""
+
+
+class ApCapExceededError(BudgetExceededError):
+    """Proposition universe larger than the configured product cap."""
 
 
 class EmptyEdgeSetError(CoverageError):

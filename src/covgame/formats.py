@@ -63,12 +63,7 @@ def _collect_ap(obj: dict, prop_lists) -> list[str]:
         if len(set(ap)) != len(ap):
             raise FormatError("duplicate proposition in ap")
         return ap
-    seen: list[str] = []
-    for props in prop_lists:
-        for p in props:
-            if p not in seen:
-                seen.append(p)
-    return seen
+    return list(dict.fromkeys(p for props in prop_lists for p in props))
 
 
 def _parse_graph(obj: dict, game: bool):

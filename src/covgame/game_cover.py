@@ -69,6 +69,7 @@ from .model import (
     PLAYER1,
     LabeledGameGraph,
     LabeledGraph,
+    _bits,
     _is_int,
     _masker,
     _predecessors,
@@ -616,10 +617,12 @@ class _Traps:
         """The trap layer of d: per vertex v an int with one bit per
         d-subset D of the used propositions, set iff v lies in
         Trap(used - D), and the function from a covered set b to the mask
-        of the D disjoint from b. One worklist greatest fixpoint on the
-        game graph builds it, every D at once: bit D starts set where
-        L(v) misses D, a tester vertex keeps the AND of its successors'
-        bits and a system vertex their OR. A layer holding more than
+        of the D disjoint from b. One FIFO greatest fixpoint builds it,
+        every D at once: bit D starts set where L(v) misses D, v keeps the
+        AND of its successors' bits where its arena count is 1 (a tester
+        vertex, or a system vertex with one successor: AND and OR agree)
+        and their OR elsewhere, and a vertex whose int shrinks appends its
+        predecessor row, as in `_attract`. A layer holding more than
         _LAYER_BITS bits, its ints and the masks of `_omits`, is
         refused: (None, None)."""
         g, props = self.g, _bits(self.used)
@@ -630,20 +633,17 @@ class _Traps:
 
         def avoiding(b: int) -> int:
             mask = full
-            while b:
-                mask &= omit[b & -b]
-                b &= b - 1
+            for bit in _bits(b):
+                mask &= omit[bit]
             return mask
 
         start = {b: avoiding(b) for b in self.classes}
         x = [start[b] for b in g.labels]
-        tester, succ, pred = [who == PLAYER1 for who in g.owner], g.succ, self.arena[1]
-        todo = {v for v in range(g.n) if x[v]}
-        while todo:
-            v = todo.pop()
-            old = x[v]
-            if tester[v]:
-                new = old
+        (need, pred), succ = self.arena, g.succ
+        todo = [v for v in range(g.n) if x[v]]
+        for v in todo:
+            old = new = x[v]
+            if need[v] == 1:
                 for u in succ[v]:
                     new &= x[u]
             else:
@@ -653,7 +653,7 @@ class _Traps:
                 new &= old
             if new != old:
                 x[v] = new
-                todo.update(pred[v])
+                todo += pred[v]
         return x, avoiding
 
 
@@ -777,10 +777,6 @@ def _cheapest(g: LabeledGameGraph, test, ap_cap: int):
 
 def _size_first(mask: int) -> tuple[int, int]:
     return mask.bit_count(), mask
-
-
-def _bits(mask: int) -> list[int]:
-    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def verify_end_component_witness(

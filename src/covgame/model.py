@@ -33,8 +33,17 @@ DEFAULT_AP_CAP = 30
 
 
 def mask_names(ap: Sequence[str], mask: int) -> tuple[str, ...]:
-    """Proposition names selected by a bit mask, in universe order."""
-    return tuple(ap[i] for i in range(len(ap)) if mask >> i & 1)
+    """Names of a mask's bits below len(ap), in universe order."""
+    return tuple(ap[bit.bit_length() - 1] for bit in _bits(mask & ((1 << len(ap)) - 1)))
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of a non-negative mask, lowest first, one int each."""
+    out = []
+    while mask:
+        out.append(low := mask & -mask)
+        mask ^= low
+    return out
 
 
 def names_mask(ap: Sequence[str], props: Iterable[str]) -> int:

@@ -706,6 +706,23 @@ class TestBudgetExceeded:
         path = write(tmp_path, text, "phi.txt")
         self.assert_budget_error(capsys, ["gadget", reduction, path])
 
+    @pytest.mark.parametrize(
+        "argv", [["solve", "--m", "1"], ["solve", "--value"], ["bounded", "--m", "1", "--k", "3"]],
+        ids=["solve", "value", "bounded"],
+    )
+    def test_proposition_count_past_the_cap(self, capsys, tmp_path, argv):
+        ap = [f"p{i}" for i in range(31)]
+        game = {
+            "ap": ap,
+            "initial": "v",
+            "edges": [["v", "v"]],
+            "vertices": [{"id": "v", "props": ap, "owner": 1}],
+        }
+        path = write(tmp_path, json.dumps(game), "wide.cov")
+        assert main([*argv, path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
 
 class TestOneWayToAsk:
     """Every yes answer carries its witness: no keyword or flag drops it."""

@@ -20,8 +20,10 @@ from covgame import (
     coverage_value_game,
     coverage_value_graph,
     formats,
+    mask_names,
     max_coverage_game,
     max_coverage_graph,
+    model,
     oracle,
     strategy_covers,
     game_to_graph,
@@ -307,6 +309,16 @@ class TestPropositionIndex:
         obj = {"kind": "strategy", "entries": [{"vertex": "v0", "covered": ["q"], "choose": "v1"}]}
         with pytest.raises(FormatError, match="unknown proposition 'q'"):
             Strategy.from_obj(g, obj)
+
+    def test_mask_names_ignores_bits_past_the_universe(self):
+        assert model._bits(0b101001) == [0b1, 0b1000, 0b100000]
+        assert model._bits(1 << 70 | 1) == [1, 1 << 70]
+        assert model._bits(0) == []
+        ap = ["p", "q", "r"]
+        assert mask_names(ap, 0b101) == ("p", "r")
+        assert mask_names(ap, 0b111 | 1 << 3 | 1 << 40) == ("p", "q", "r")
+        assert mask_names(ap, 1 << 3) == ()
+        assert mask_names([], 0b11) == ()
 
 
 def target_calls(graph, game):
