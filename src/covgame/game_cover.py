@@ -37,10 +37,12 @@ set parks at least Trap(b), a state once expanded needs no second look
 
 Bounded coverage is that game within k steps: its answer is the
 attractor rank of the initial state, the fewest rounds in which the
-tester forces the goal. One pass per goal {covered >= t} over the
-product capped at k steps gives the value, the largest t ranked within k.
-Each tester move steps one rank down, so a bounded strategy too has the
-covered set as its only memory.
+tester forces the goal. Goals t = ub, ub - 1, ... each build a fresh
+product capped at k steps under t's losing leaves, attract nothing
+while they build, and rank it by one attractor pass from the states
+covering >= t: the value is the first t ranked within k. Each tester
+move steps one rank down, so a bounded strategy too has the covered set
+as its only memory.
 
 End components and minimal safety need no product. Restricted to the
 vertices labeled within a proposition set P, one linear pass of
@@ -197,10 +199,10 @@ class _Product:
 
     __slots__ = ("g", "need", "vert", "cov", "pred", "pending", "via", "index", "parked")
 
-    def __init__(self, g: LabeledGameGraph):
+    def __init__(self, traps: "_Traps"):
+        g = self.g = traps.g
         v0, b0 = g.initial, g.labels[g.initial]
-        self.g, self.need = g, _needs(g)
-        self.vert, self.cov, self.pred = [v0], [b0], [[]]
+        self.need, self.vert, self.cov, self.pred = traps.arena[0], [v0], [b0], [[]]
         self.pending, self.via = [self.need[v0]], [None]
         self.index = {b0 * g.n + v0: 0}
         self.parked = [0]  # state 0 is classified by the first `grow`
@@ -275,47 +277,39 @@ class _Leaves(dict):
     state (v, b) is parked when trap[v] & mask is nonzero, else seeded
     when `won`, else expanded.
 
-    With `traps`, the rule of a decision at m: the states covering >= m
-    are seeds. Below m, `trap` is the trap layer of d = |used| - (m - 1),
-    built on first use, and `mask` holds the D disjoint from b, so v is
-    parked iff it lies in Trap(P) for some P ⊇ b with |P| = m - 1; at
-    |b| = m - 1 that is Trap(b), and the rest is seeded, as one more
-    proposition wins. With the layer refused, each covered set parks
-    Trap(b), the vertices without a puller in its own pass. Either way
-    every covered set parks at least Trap(b), as a value query's resumed
-    product needs. Without traps, the states covering >= m are parked
-    and none is a seed."""
+    Below m, `trap` is the trap layer of d = |used| - (m - 1), built on
+    first use, and `mask` holds the D disjoint from b, so v is parked iff
+    it lies in Trap(P) for some P ⊇ b with |P| = m - 1, which keeps the
+    play below m; at |b| = m - 1 that is Trap(b). With the layer
+    refused, each covered set parks Trap(b), the vertices without a
+    puller in its own pass. Either way every covered set parks at least
+    Trap(b), as a value query's resumed product needs. With `seed`, the
+    rule of a decision: the states covering >= m are seeds, and so are
+    those covering m - 1 left unparked, as one more proposition wins.
+    Without it, the rule of a bounded game, whose ranks must be minimal:
+    those are expanded, as that proposition is still a step away, and
+    the states covering >= m are parked, to be seeded after the build."""
 
-    def __init__(self, n: int, m: int, traps: "_Traps | None" = None):
+    def __init__(self, traps: "_Traps", m: int, seed: bool):
         super().__init__()
-        self.m, self.traps, self.ones = m, traps, b"\1" * n
-        self.layer: tuple | None = None
+        self.traps, self.m, self.seed = traps, m, seed
+        self.ones, self.layer = b"\1" * traps.g.n, None
 
     def __missing__(self, b: int) -> tuple[Sequence[int], int, bool]:
         k, m, traps = b.bit_count(), self.m, self.traps
-        if traps is None:
-            rule = (self.ones, int(k >= m), False)
-        elif k >= m:
-            rule = (self.ones, 0, True)
+        if k >= m:
+            rule = (self.ones, int(not self.seed), self.seed)
         else:
             if self.layer is None:
                 self.layer = traps.layer(traps.used.bit_count() - (m - 1))
             trap, avoiding = self.layer
+            won = self.seed and k == m - 1
             if trap is None:  # refused: Trap(b) alone
-                rule = ([u is None for u in traps(b)], 1, k == m - 1)
+                rule = ([u is None for u in traps(b)], 1, won)
             else:
-                rule = (trap, avoiding(b), k == m - 1)
+                rule = (trap, avoiding(b), won)
         self[b] = rule
         return rule
-
-
-def _needs(g: LabeledGraph) -> list[int]:
-    """Per vertex, the successors that must be attracted before it is:
-    one at a tester vertex, all at a system vertex. A plain LabeledGraph
-    is the game in which the tester owns every vertex."""
-    if isinstance(g, LabeledGameGraph):
-        return [1 if who == PLAYER1 else len(row) for who, row in zip(g.owner, g.succ)]
-    return [1] * g.n
 
 
 def _attract(via, pending, pred, queue: list[int]) -> None:
@@ -401,7 +395,7 @@ def _strategy(
 def _decide(traps: "_Traps", prod: _Product, m: int) -> GameAnswer:
     """The decision at m, attracted while `prod` grows under the leaf
     rule of m (`_Leaves`); a YES carries the strategy of that attractor."""
-    if not prod.grow(_Leaves(traps.g.n, m, traps)):
+    if not prod.grow(_Leaves(traps, m, True)):
         return GameAnswer(False)
     return GameAnswer(True, strategy=_strategy(traps.g, prod, prod.via, m, traps))
 
@@ -414,7 +408,7 @@ def max_coverage_game(g: LabeledGameGraph, m: int, *, ap_cap: int = DEFAULT_AP_C
     traps = _Traps(g)
     if m > _safety_bound(traps):
         return GameAnswer(False)
-    return _decide(traps, _Product(g), m)
+    return _decide(traps, _Product(traps), m)
 
 
 def coverage_value_game(g: LabeledGameGraph, *, ap_cap: int = DEFAULT_AP_CAP) -> GameAnswer:
@@ -436,7 +430,7 @@ def coverage_value_game(g: LabeledGameGraph, *, ap_cap: int = DEFAULT_AP_CAP) ->
     _check_game(g, ap_cap)
     traps = _Traps(g)
     ub, base = _safety_bound(traps), g.labels[g.initial].bit_count()
-    prod = _Product(g) if ub > base else None
+    prod = _Product(traps) if ub > base else None
     for t in range(ub, base, -1):
         ans = _decide(traps, prod, t)
         if ans.decision:
@@ -452,12 +446,17 @@ def bounded_coverage_game(
     g: LabeledGameGraph, m: int, k: int, *, ap_cap: int = DEFAULT_AP_CAP
 ) -> GameAnswer:
     """Largest coverage the tester can force within k steps, decided
-    against m: the first t = |AP|, |AP| - 1, ..., |L(v_in)| + 1 whose
-    attractor of {covered >= t} ranks the initial state within the cap,
-    on the product capped there, else |L(v_in)|. The cap is
-    min(k, |V| * (|AP| + 1)), as coverage saturates past that. A play
-    meets each state no earlier than its distance, so a winning play
-    within the cap leaves only from states below it, all expanded.
+    against m: the first t = ub, ub - 1, ..., |L(v_in)| + 1 below the
+    safety bound ub (the unbounded value's bound, so the bounded one's
+    too) whose attractor of {covered >= t} ranks the initial state within
+    the cap, min(k, |V| * (|AP| + 1)), as coverage saturates past that;
+    else |L(v_in)|.
+    Each goal builds a fresh product capped there under its bounded leaf
+    rule (`_Leaves`), then runs one FIFO attractor from the parked
+    states covering >= t. The ranks are exact within the cap: a parked
+    state below t is trapped below t, so no winning play passes it, and
+    a play meets each state no earlier than its distance, so every state
+    a winning play within the cap leaves from is expanded.
     The strategy keys each move by (v, b) alone, with the cap as its
     budget: a tester move steps to a state one rank lower and a system
     state ranks one above its highest successor, so every play's rank
@@ -465,25 +464,20 @@ def bounded_coverage_game(
     """
     _check_game(g, ap_cap)
     check_target(g, m, k)
-    full = len(g.ap)
-    cap = min(k, g.n * (full + 1))
-    prod = _Product(g)
-    prod.grow(_Leaves(g.n, full), cap)
-    by_count: list[list[int]] = [[] for _ in range(full + 1)]
-    for i, b in enumerate(prod.cov):
-        by_count[b.bit_count()].append(i)
-    value, seeds, via = g.labels[g.initial].bit_count(), [], None
-    for t in range(full, value, -1):
-        if not by_count[t]:
-            continue
-        seeds += by_count[t]
-        via = _attractor(list(prod.pending), prod.pred, seeds)
+    traps, cap = _Traps(g), min(k, g.n * (len(g.ap) + 1))
+    base = value = g.labels[g.initial].bit_count()
+    for t in range(_safety_bound(traps), base, -1):
+        prod = _Product(traps)
+        prod.grow(_Leaves(traps, t, False), cap)
+        seeds = [i for i in prod.parked if prod.cov[i].bit_count() >= t]
+        via = _attractor(prod.pending, prod.pred, seeds)
         if _rank(via, 0) <= cap:
             value = t
             break
     if value < m:
         return GameAnswer(False, value=value)
-    return GameAnswer(True, value=value, strategy=_strategy(g, prod, via, m, None, cap))
+    strategy = _strategy(g, prod, via, m, None, cap) if value > base else TesterStrategy({}, cap)
+    return GameAnswer(True, value=value, strategy=strategy)
 
 
 def strategy_covers(g: LabeledGameGraph, strategy: TesterStrategy, m: int) -> bool:
@@ -559,9 +553,15 @@ def _recurrence(g: LabeledGraph) -> tuple[int | None, list[int] | None]:
 
 
 def _arena(g: LabeledGraph):
-    """The attractor kernel's input over the game graph itself: the
-    `_needs` counts (consumed by the kernel) and predecessor rows."""
-    return _needs(g), _predecessors(g.succ)
+    """The attractor kernel's input over the game graph itself: per
+    vertex, the successors that must be attracted before it is (one at a
+    tester vertex, all at a system vertex; the kernel consumes them), and
+    predecessor rows. A plain LabeledGraph is the game in which the
+    tester owns every vertex."""
+    pred = _predecessors(g.succ)
+    if not isinstance(g, LabeledGameGraph):
+        return [1] * g.n, pred
+    return [1 if who == PLAYER1 else len(row) for who, row in zip(g.owner, g.succ)], pred
 
 
 def _trap(arena, outside: list[int]) -> list[int | None]:

@@ -54,13 +54,13 @@ def names_mask(ap: Sequence[str], props: Iterable[str]) -> int:
 def _masker(ap: Sequence[str]):
     """names_mask over `ap` with the name -> bit index built once, for
     callers that mask one collection per vertex, state or entry."""
-    bit = {name: 1 << i for i, name in enumerate(ap)}
+    index = {name: i for i, name in enumerate(ap)}  # small ints: no |AP|-bit int per name
 
     def mask(props: Iterable[str]) -> int:
         out = 0
         for name in props:
             try:
-                out |= bit[name]
+                out |= 1 << index[name]
             except KeyError:
                 raise FormatError(f"unknown proposition {name!r}") from None
         return out

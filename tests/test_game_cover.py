@@ -29,7 +29,7 @@ from covgame import (
 )
 from covgame import TesterStrategy as Strategy  # a Test* name would be collected
 from covgame import game_cover
-from covgame.game_cover import _Leaves, _Product
+from covgame.game_cover import _Leaves, _Product, _Traps
 from genmodels import (
     diamond_game,
     random_game,
@@ -40,12 +40,13 @@ from genmodels import (
 from test_acceptance import exhaustive_playout_depth
 
 
-def plain_product(g, settled, cap=None):
-    """The product as the bounded solver builds it: the states covering
-    >= settled are parked, the rest are expanded up to BFS depth `cap`,
-    and nothing is attracted."""
-    prod = _Product(g)
-    prod.grow(_Leaves(g.n, settled), cap)
+def plain_product(g, goal, cap=None):
+    """The product as the bounded solver builds it at `goal`: the states
+    covering >= goal and the losing leaves below it are parked, the rest
+    are expanded up to BFS depth `cap`, and nothing is attracted."""
+    traps = _Traps(g)
+    prod = _Product(traps)
+    prod.grow(_Leaves(traps, goal, False), cap)
     return prod
 
 
@@ -264,15 +265,22 @@ class TestBoundedCoverageGame:
             assert [len(p) for p in built_products] == [1 if k == 0 else 6 if k == 1 else 7]
 
     def test_budget_builds_no_more_than_the_product(self, built_products):
-        # past the depth that reaches every state, the capped product is
-        # the whole product, not one copy of it per depth
-        for seed, size in ((0, 2527), (1, 1390)):
+        # past the depth that reaches every state, each goal's capped
+        # product is its whole product, not one copy of it per depth
+        for seed, sizes in ((0, [1188]), (1, [573, 220])):
             g = sparse_random_game(seed, 64, 6)
-            assert len(plain_product(g, len(g.ap))) == size
             for k in (20, 200):
                 built_products.clear()
                 bounded_coverage_game(g, len(g.ap), k)
-                assert [len(p) for p in built_products] == [size]
+                assert [len(p) for p in built_products] == sizes
+            ub = game_cover._safety_bound(_Traps(g))
+            assert sizes == [len(plain_product(g, ub - i)) for i in range(len(sizes))]
+
+    def test_trap_leaves_prune_the_product(self, built_products):
+        # the goals below the safety bound park their losing leaves: the
+        # unpruned product capped at 20 steps held 3,382,610 states
+        bounded_coverage_game(sparse_random_game(1, 200, 16), 0, 20)
+        assert sum(len(p) for p in built_products) <= 200_000
 
     def test_deep_budgets_saturate_to_attractor(self):
         # the bounded minimax agrees with the oracle at a short budget and
@@ -462,21 +470,34 @@ class TestProduct:
         rng = random.Random(89)
         for _ in range(40):
             g = random_game(rng)
-            for goal in range(1, len(g.ap) + 2):
+            traps = _Traps(g)
+            used = traps.used.bit_count()
+            for goal in range(1, used + 2):
                 prod = plain_product(g, goal)
                 assert len(prod) <= g.n * 2 ** len(g.ap)
                 for v, b in zip(prod.vert, prod.cov):
                     # only states whose covered set absorbed the vertex label
                     assert b & g.labels[v] == g.labels[v]
+                parked = set(prod.parked)
                 for j, row in enumerate(prod.pred):
                     for i in row:
                         # monotone covered component along every edge
                         assert prod.cov[i] & prod.cov[j] == prod.cov[i]
-                        # states covering >= goal are leaves, never expanded
-                        assert prod.cov[i].bit_count() < goal
-            full = len(g.ap)
+                        # states covering >= goal are leaves, never expanded,
+                        # and so are the parked losing leaves
+                        assert prod.cov[i].bit_count() < goal and i not in parked
+                for i in parked:
+                    v, b = prod.vert[i], prod.cov[i]
+                    # parked below the goal: the system confines the play
+                    # within some P ⊇ b of goal - 1 used propositions
+                    assert b.bit_count() >= goal or any(
+                        traps(p)[v] is None
+                        for p in range(traps.used + 1)
+                        if p & b == b and p & ~traps.used == 0 and p.bit_count() == goal - 1
+                    )
             for cap in (0, 1, 3):
-                prod = plain_product(g, full, cap)
+                prod = plain_product(g, used, cap)
+                parked = set(prod.parked)
                 # each (v, b) appears once
                 assert len(set(zip(prod.vert, prod.cov))) == len(prod)
                 # depth by BFS parent: the first predecessor found the state
@@ -491,13 +512,15 @@ class TestProduct:
                 for j, row in enumerate(prod.pred):
                     for i in row:
                         out[i] += 1
-                        # states at the cap and fully covered ones are leaves
-                        assert depth[i] < cap and prod.cov[i].bit_count() < full
+                        # states at the cap and parked ones are leaves
+                        assert depth[i] < cap and i not in parked
                         # every edge joins depth d to a depth of at most d + 1
                         assert depth[j] <= depth[i] + 1
                 for i, v in enumerate(prod.vert):
-                    # every other state is expanded, along all its edges
-                    if depth[i] < cap and prod.cov[i].bit_count() < full:
+                    # every other state is expanded, along all its edges;
+                    # the states covering all used propositions are parked
+                    assert i in parked or prod.cov[i].bit_count() < used
+                    if depth[i] < cap and i not in parked:
                         assert out[i] == len(g.succ[v])
 
 

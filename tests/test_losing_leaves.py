@@ -90,7 +90,7 @@ def confined_within(g, props: int) -> set[int]:
 
 def parked(g, traps, b: int, m: int) -> set[int]:
     """The vertices a decision at m parks at covered set b."""
-    trap, mask, _ = game_cover._Leaves(g.n, m, traps)[b]
+    trap, mask, _ = game_cover._Leaves(traps, m, True)[b]
     return {v for v in range(g.n) if trap[v] & mask}
 
 

@@ -1,7 +1,9 @@
 """Model types, validation, compilation, and serialization."""
 
+import json
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -299,6 +301,24 @@ class TestPropositionIndex:
         # index rebuilt per item costs about |AP| lines each
         small, large = _traced_lines(build(1000)), _traced_lines(build(4000))
         assert large / 4000 < 1.25 * small / 1000, (small, large)
+
+    def test_parse_peaks_within_twice_the_model(self):
+        # the index holds one small int per name: with a mask per name,
+        # |AP| masks of up to |AP| bits, parsing a ring with one
+        # proposition per vertex peaked at 2.45x the parsed model
+        n = 20_000
+        text = json.dumps({
+            "initial": "v0",
+            "edges": [[f"v{i}", f"v{(i + 1) % n}"] for i in range(n)],
+            "vertices": [{"id": f"v{i}", "props": [f"p{i}"]} for i in range(n)],
+        })
+        tracemalloc.start()
+        try:
+            parsed = formats.loads(text)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert parsed.n == n and peak < 2 * held, (held, peak)
 
     def test_unknown_names_still_raise(self):
         with pytest.raises(FormatError, match="unknown proposition 'q'"):
