@@ -181,8 +181,9 @@ def dumps(model) -> str:
 # DOT export
 
 
-def _dot_quote(name: str) -> str:
-    return '"%s"' % name.replace("\\", "\\\\").replace('"', '\\"')
+def _dot_quote(*parts: str) -> str:
+    """One DOT string of `parts`, escaped and joined by the `\\n` escape."""
+    return '"%s"' % "\\n".join(p.replace("\\", "\\\\").replace('"', '\\"') for p in parts)
 
 
 def to_dot(model) -> str:
@@ -191,16 +192,19 @@ def to_dot(model) -> str:
     Systems are compiled to their tester/system game first."""
     if isinstance(model, SystemAutomaton):
         model = compile_system(model)
+    start, names = "__initial__", set(model.names)
+    while start in names:
+        start += "'"
     lines = ["digraph coverage_model {", "  rankdir=LR;"]
-    lines.append('  "__initial__" [shape=point, label=""];')
-    lines.append(f'  "__initial__" -> {_dot_quote(model.names[model.initial])};')
+    lines.append(f'  {_dot_quote(start)} [shape=point, label=""];')
+    lines.append(f"  {_dot_quote(start)} -> {_dot_quote(model.names[model.initial])};")
     for v in range(model.n):
         props = ",".join(model.label_names(v))
-        text = model.names[v] + (f"\\n{{{props}}}" if props else "")
+        text = _dot_quote(model.names[v], *([f"{{{props}}}"] if props else []))
         shape = "ellipse"
         if isinstance(model, LabeledGameGraph):
             shape = "box" if model.owner[v] == PLAYER1 else "diamond"
-        lines.append(f"  {_dot_quote(model.names[v])} [shape={shape}, label=\"{text}\"];")
+        lines.append(f"  {_dot_quote(model.names[v])} [shape={shape}, label={text}];")
     for v, u in model.edges():
         lines.append(f"  {_dot_quote(model.names[v])} -> {_dot_quote(model.names[u])};")
     lines.append("}")

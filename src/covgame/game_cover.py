@@ -49,6 +49,8 @@ vertices labeled within a proposition set P, one linear pass of
 attractor and reachability sweeps finds the maximal end component (or
 trap) through the initial vertex; `_cheapest` searches P from both
 ends, in at most 2^(min(k, |AP|)+1) passes for k distinct label sets.
+The proposition cap is fixed at DEFAULT_AP_CAP = 30: the product solvers
+refuse |AP| > 30, and `_cheapest` min(k, |AP|) > 30 (ApCapExceededError).
 
 Controllable recurrence is the tester's attractor of the initial vertex,
 one linear pass with no product (`_recurrence`); a forward sweep runs
@@ -161,12 +163,10 @@ class EndComponent:
         return self.props.bit_count()
 
 
-def _check_game(g: LabeledGameGraph, ap_cap: int) -> None:
+def _check_game(g: LabeledGameGraph) -> None:
     require_valid(g)
-    if len(g.ap) > ap_cap:
-        raise ApCapExceededError(
-            f"|AP|={len(g.ap)} exceeds the product cap of {ap_cap}"
-        )
+    if len(g.ap) > DEFAULT_AP_CAP:
+        raise ApCapExceededError(f"|AP|={len(g.ap)} exceeds the product cap of {DEFAULT_AP_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +355,7 @@ def _rank(via, i: int) -> float:
 
 
 def _strategy(
-    g: LabeledGameGraph, prod: _Product, via, m: int, traps: "_Traps | None" = None,
-    budget: int | None = None,
+    prod: _Product, m: int, traps: "_Traps | None" = None, budget: int | None = None
 ) -> TesterStrategy:
     """The tester's moves at the states that the plays from the initial
     state reach before covering m: one walk takes the attractor's cause
@@ -369,8 +368,9 @@ def _strategy(
     rank, so a bounded game's moves need no steps-left key: every play
     stays within the initial state's rank, at most the game's
     `budget`."""
+    g = prod.g
     n, labels, succ, owner = g.n, g.labels, g.succ, g.owner
-    vert, index = prod.vert, prod.index
+    vert, via, index = prod.vert, prod.via, prod.index
     moves, seen = {}, set()
     todo = [(g.initial, labels[g.initial])]
     while todo:
@@ -397,13 +397,13 @@ def _decide(traps: "_Traps", prod: _Product, m: int) -> GameAnswer:
     rule of m (`_Leaves`); a YES carries the strategy of that attractor."""
     if not prod.grow(_Leaves(traps, m, True)):
         return GameAnswer(False)
-    return GameAnswer(True, strategy=_strategy(traps.g, prod, prod.via, m, traps))
+    return GameAnswer(True, strategy=_strategy(prod, m, traps))
 
 
-def max_coverage_game(g: LabeledGameGraph, m: int, *, ap_cap: int = DEFAULT_AP_CAP) -> GameAnswer:
+def max_coverage_game(g: LabeledGameGraph, m: int) -> GameAnswer:
     """Can the tester force >= m distinct propositions to be visited,
     no matter how the system plays? Above the safety bound, NO at once."""
-    _check_game(g, ap_cap)
+    _check_game(g)
     check_target(g, m)
     traps = _Traps(g)
     if m > _safety_bound(traps):
@@ -411,7 +411,7 @@ def max_coverage_game(g: LabeledGameGraph, m: int, *, ap_cap: int = DEFAULT_AP_C
     return _decide(traps, _Product(traps), m)
 
 
-def coverage_value_game(g: LabeledGameGraph, *, ap_cap: int = DEFAULT_AP_CAP) -> GameAnswer:
+def coverage_value_game(g: LabeledGameGraph) -> GameAnswer:
     """Largest enforceable coverage: the first YES among the decisions
     at t = ub, ub - 1, ..., |L(v_in)| + 1 below the safety bound ub, or
     |L(v_in)| with the empty strategy when every one says NO.
@@ -427,7 +427,7 @@ def coverage_value_game(g: LabeledGameGraph, *, ap_cap: int = DEFAULT_AP_CAP) ->
     expanded (v, b) has v outside Trap(b), so from goal |b| + 1 down the
     tester leaves Trap(b) through seeded or expanded states, and the
     attractor derives it."""
-    _check_game(g, ap_cap)
+    _check_game(g)
     traps = _Traps(g)
     ub, base = _safety_bound(traps), g.labels[g.initial].bit_count()
     prod = _Product(traps) if ub > base else None
@@ -442,9 +442,7 @@ def coverage_value_game(g: LabeledGameGraph, *, ap_cap: int = DEFAULT_AP_CAP) ->
 # bounded coverage
 
 
-def bounded_coverage_game(
-    g: LabeledGameGraph, m: int, k: int, *, ap_cap: int = DEFAULT_AP_CAP
-) -> GameAnswer:
+def bounded_coverage_game(g: LabeledGameGraph, m: int, k: int) -> GameAnswer:
     """Largest coverage the tester can force within k steps, decided
     against m: the first t = ub, ub - 1, ..., |L(v_in)| + 1 below the
     safety bound ub (the unbounded value's bound, so the bounded one's
@@ -462,7 +460,7 @@ def bounded_coverage_game(
     state ranks one above its highest successor, so every play's rank
     falls from the initial state's, which is within the cap.
     """
-    _check_game(g, ap_cap)
+    _check_game(g)
     check_target(g, m, k)
     traps, cap = _Traps(g), min(k, g.n * (len(g.ap) + 1))
     base = value = g.labels[g.initial].bit_count()
@@ -470,13 +468,13 @@ def bounded_coverage_game(
         prod = _Product(traps)
         prod.grow(_Leaves(traps, t, False), cap)
         seeds = [i for i in prod.parked if prod.cov[i].bit_count() >= t]
-        via = _attractor(prod.pending, prod.pred, seeds)
-        if _rank(via, 0) <= cap:
+        prod.via = _attractor(prod.pending, prod.pred, seeds)
+        if _rank(prod.via, 0) <= cap:
             value = t
             break
     if value < m:
         return GameAnswer(False, value=value)
-    strategy = _strategy(g, prod, via, m, None, cap) if value > base else TesterStrategy({}, cap)
+    strategy = _strategy(prod, m, None, cap) if value > base else TesterStrategy({}, cap)
     return GameAnswer(True, value=value, strategy=strategy)
 
 
@@ -723,7 +721,7 @@ def _end_component_within(g: LabeledGameGraph, arena, outside: list[int]) -> set
     return None
 
 
-def _cheapest(g: LabeledGameGraph, test, ap_cap: int):
+def _cheapest(g: LabeledGameGraph, test):
     """The hit of `test` with the fewest propositions (ties to the smaller
     mask), or None. `test(P)` is the answer among the vertices labeled
     within P, or None; a hit at P stays one at every superset of P.
@@ -735,7 +733,7 @@ def _cheapest(g: LabeledGameGraph, test, ap_cap: int):
     union of a hit; a chain of such drops reaches every cheapest hit.
     With k distinct label sets over j further propositions the upward
     walk ends within 2^min(k, j) passes, the pair within twice that, and
-    ap_cap caps that exponent."""
+    a walk whose exponent exceeds DEFAULT_AP_CAP, fixed at 30, is refused."""
     tried: dict[int, set[int] | None] = {}
 
     def run(props):
@@ -748,9 +746,10 @@ def _cheapest(g: LabeledGameGraph, test, ap_cap: int):
         return None
     base, top = g.labels[g.initial], cover_of(g, best)
     atoms = {g.labels[v] & ~base for v in best} - {0}
-    if min(len(atoms), j := (top & ~base).bit_count()) > ap_cap:
+    if min(len(atoms), j := (top & ~base).bit_count()) > DEFAULT_AP_CAP:
         raise ApCapExceededError(
-            f"{len(atoms)} distinct label sets and {j} propositions exceed the cap of {ap_cap}"
+            f"{len(atoms)} distinct label sets and {j} propositions"
+            f" exceed the cap of {DEFAULT_AP_CAP}"
         )
     key, up, queued = _size_first(top), [_size_first(base)], {base}
     down = [top & ~bit for bit in _bits(top & ~base)]
@@ -794,9 +793,7 @@ def verify_end_component_witness(
     return cover_of(g, vs).bit_count() < m and _end_component_within(g, _arena(g), outside) == vs
 
 
-def min_cover_end_component(
-    g: LabeledGameGraph, *, ap_cap: int = DEFAULT_AP_CAP
-) -> tuple[EndComponent, int]:
+def min_cover_end_component(g: LabeledGameGraph) -> tuple[EndComponent, int]:
     """End component through the initial vertex with the fewest distinct
     propositions: the maximal one among the vertices labeled within the
     cheapest proposition set that has one. Without any the game cannot
@@ -805,18 +802,14 @@ def min_cover_end_component(
     games the count equals the coverage value."""
     require_valid(g)
     traps = _Traps(g)
-    ec = _cheapest(
-        g, lambda props: _end_component_within(g, traps.arena, traps.outside(props)), ap_cap
-    )
+    ec = _cheapest(g, lambda props: _end_component_within(g, traps.arena, traps.outside(props)))
     if ec is None:
         raise NotRecurrentError("no end component contains the initial vertex")
     mask = cover_of(g, ec)
     return EndComponent(tuple(sorted(ec)), mask), mask.bit_count()
 
 
-def min_safety_value(
-    g: LabeledGameGraph, *, ap_cap: int = DEFAULT_AP_CAP
-) -> tuple[int, tuple[int, ...]]:
+def min_safety_value(g: LabeledGameGraph) -> tuple[int, tuple[int, ...]]:
     """Fewest distinct propositions the system can confine the play to,
     and a confining set: the part reachable from the initial vertex of
     the trap among the vertices labeled within the cheapest proposition
@@ -824,5 +817,5 @@ def min_safety_value(
     the minimal end-component cover."""
     require_valid(g)
     traps = _Traps(g)
-    vs = _cheapest(g, lambda props: _confined(traps, props), ap_cap)
+    vs = _cheapest(g, lambda props: _confined(traps, props))
     return cover_of(g, vs).bit_count(), tuple(sorted(vs))

@@ -34,7 +34,9 @@ DEFAULT_AP_CAP = 30
 
 def mask_names(ap: Sequence[str], mask: int) -> tuple[str, ...]:
     """Names of a mask's bits below len(ap), in universe order."""
-    return tuple(ap[bit.bit_length() - 1] for bit in _bits(mask & ((1 << len(ap)) - 1)))
+    if mask >> len(ap):
+        mask &= (1 << len(ap)) - 1
+    return tuple(ap[bit.bit_length() - 1] for bit in _bits(mask))
 
 
 def _bits(mask: int) -> list[int]:

@@ -2,6 +2,7 @@
 end components, and minimal safety."""
 
 import gc
+import inspect
 import random
 import sys
 import time
@@ -73,9 +74,25 @@ class TestMaxCoverageGame:
         assert ans.decision
         assert ans.strategy.moves == {}
 
-    def test_ap_cap(self, adversarial_game):
-        with pytest.raises(ApCapExceededError):
-            max_coverage_game(adversarial_game, 1, ap_cap=1)
+    def test_ap_cap(self):
+        # 31 propositions, one past the fixed cap, refused before any product
+        ap = [f"p{i}" for i in range(31)]
+        g = LabeledGameGraph.make_game(ap, [("v", ap, 1)], [("v", "v")], "v")
+        for solve in (
+            lambda: max_coverage_game(g, 1),
+            lambda: coverage_value_game(g),
+            lambda: bounded_coverage_game(g, 1, 3),
+        ):
+            with pytest.raises(ApCapExceededError):
+                solve()
+
+    def test_no_solver_takes_a_cap(self):
+        # the cap is the constant DEFAULT_AP_CAP; no call chooses another
+        for solver in (
+            max_coverage_game, coverage_value_game, bounded_coverage_game,
+            min_cover_end_component, min_safety_value,
+        ):
+            assert "ap_cap" not in inspect.signature(solver).parameters, solver.__name__
 
     def test_oracle_agreement(self):
         rng = random.Random(53)
@@ -625,7 +642,6 @@ class TestEndComponents:
         for solve in (min_cover_end_component, min_safety_value):
             with pytest.raises(ApCapExceededError):
                 solve(wide["cycle"])
-        assert min_cover_end_component(wide["cycle"], ap_cap=40)[1] == 40
 
     def test_certificates_verify(self):
         rng = random.Random(97)

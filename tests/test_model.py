@@ -216,6 +216,22 @@ class TestSerialization:
         assert "diamond" in dot and "box" in dot
         assert "diamond" not in formats.to_dot(triangle)
 
+    def test_dot_export_escapes_labels(self):
+        # a quote or backslash in a name or a proposition is escaped in the
+        # label too, and the start marker never merges with a vertex
+        g = LabeledGraph.make(
+            ['p"q'], [('a"b', ['p"q']), ("c\\", []), ("__initial__", [])],
+            [('a"b', "c\\"), ("c\\", "__initial__"), ("__initial__", 'a"b')], "__initial__",
+        )
+        lines = formats.to_dot(g).splitlines()
+        assert lines[2:7] == [
+            '  "__initial__\'" [shape=point, label=""];',
+            '  "__initial__\'" -> "__initial__";',
+            '  "a\\"b" [shape=ellipse, label="a\\"b\\n{p\\"q}"];',
+            '  "c\\\\" [shape=ellipse, label="c\\\\"];',
+            '  "__initial__" [shape=ellipse, label="__initial__"];',
+        ]
+
 
 class TestPatchSelfLoops:
     def test_patches_sinks(self):
