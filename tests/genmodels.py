@@ -62,6 +62,40 @@ def random_strongly_connected_graph(
     )
 
 
+def random_block_graph(
+    rng: random.Random, max_blocks: int = 4, max_v: int = 3, max_ap: int = 4
+) -> LabeledGraph:
+    """Blocks drawn by random_strongly_connected_graph, each joined to
+    later blocks by one or two forward edges, under one shuffled vertex
+    numbering and fresh labels. So the blocks are the graph's strongly
+    connected components, and the initial vertex, in the first block,
+    reaches them along several chains."""
+    blocks = [random_strongly_connected_graph(rng, max_v) for _ in range(rng.randint(2, max_blocks))]
+    rows: list[set[int]] = []
+    spans = []
+    for block in blocks:
+        span = range(len(rows), len(rows) + block.n)
+        rows += [{span.start + u for u in row} for row in block.succ]
+        spans.append(span)
+    n = len(rows)
+    for span in spans[:-1]:
+        for _ in range(rng.randint(1, 2)):
+            rows[rng.choice(span)].add(rng.randrange(span.stop, n))
+    ids = list(range(n))
+    rng.shuffle(ids)
+    succ: list[tuple[int, ...]] = [()] * n
+    for v, row in enumerate(rows):
+        succ[ids[v]] = tuple(sorted(ids[u] for u in row))
+    nap = rng.randint(1, max_ap)
+    return LabeledGraph(
+        tuple(f"p{i}" for i in range(nap)),
+        tuple(f"v{i}" for i in range(n)),
+        tuple(succ),
+        tuple(rng.getrandbits(nap) for _ in range(n)),
+        ids[rng.choice(spans[0])],
+    )
+
+
 def random_recurrent_game(
     rng: random.Random, max_v: int = 8, max_ap: int = 4
 ) -> LabeledGameGraph:

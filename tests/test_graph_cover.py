@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,7 @@ from covgame import (
     oracle,
     path_check,
 )
-from genmodels import random_graph, random_strongly_connected_graph
+from genmodels import random_graph, random_strongly_connected_graph, sparse_random_game
 
 
 class TestMaxCoverage:
@@ -81,6 +82,18 @@ class TestCoverageValue:
             assert g.labels[g.initial].bit_count() <= ans.value
             assert ans.value <= reachable.bit_count()
             assert cover_of(g, ans.witness).bit_count() >= ans.value
+
+    def test_one_large_component_is_fast(self):
+        # one strongly connected component: the value is its label union,
+        # which the condensation reads off without a (vertex, covered) search
+        h = sparse_random_game(0, 200, 16)
+        g = LabeledGraph(h.ap, h.names, h.succ, h.labels, h.initial)
+        start = time.process_time()
+        ans = coverage_value_graph(g)
+        assert time.process_time() - start < 1.0
+        assert ans.value == 16
+        assert path_check(g, ans.witness) and cover_of(g, ans.witness).bit_count() == 16
+        assert len(ans.witness) - 1 <= 16 * g.n
 
 
 class TestBoundedCoverage:

@@ -15,12 +15,13 @@ from covgame import (
     max_coverage_graph,
     min_safety_value,
     oracle,
+    path_check,
     strategy_covers,
 )
 from covgame.game_cover import _Traps, _confined, _safety_bound
-from covgame.graph_cover import _reach_labels
+from covgame.graph_cover import _condense
 from covgame.model import _reachable, cover_of
-from genmodels import random_game, random_graph
+from genmodels import random_block_graph, random_game, random_graph
 
 seeds = given(st.integers(min_value=0, max_value=2**32 - 1))
 examples = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -30,10 +31,10 @@ examples = settings(max_examples=150, deadline=None, derandomize=True, database=
 @seeds
 def test_reach_labels_match_oracle(seed):
     g = random_graph(random.Random(seed), 8, 4)
-    reach = _reach_labels(g)
+    comp, _, reach, _ = _condense(g)
     want = oracle._props_reachable(g)
     for v in _reachable(g.succ, g.initial):
-        assert reach[v] == want[v]
+        assert reach[comp[v]] == want[v]
 
 
 @examples
@@ -48,12 +49,34 @@ def test_graph_search_matches_oracle(seed):
         ans = max_coverage_graph(g, m)
         assert ans.decision == oracle.brute_force_graph(g, m)
         if ans.decision:
-            # shortest: no path with one edge fewer covers m
             w = ans.witness
+            assert path_check(g, w) and cover_of(g, w).bit_count() >= m
+            assert len(w) - 1 <= m * g.n
+            # the bounded search at the unbounded cap stays breadth first:
+            # no path with one edge fewer covers m
+            w = bounded_coverage_graph(g, m, m * g.n).witness
             assert len(w) == 1 or not oracle.brute_force_graph(g, m, len(w) - 2)
         for k in range(5):
             bounded = bounded_coverage_graph(g, m, k)
             assert bounded.decision == oracle.brute_force_graph(g, m, k)
+
+
+@examples
+@seeds
+def test_block_graph_search_matches_oracle(seed):
+    # several components, so the search chooses among chains of them
+    g = random_block_graph(random.Random(seed))
+    value = coverage_value_graph(g)
+    answers = [(value.value, value)]
+    for m in range(len(g.ap) + 1):
+        ans = max_coverage_graph(g, m)
+        assert ans.decision == oracle.brute_force_graph(g, m) == (m <= value.value)
+        answers.append((m, ans))
+    for m, ans in answers:
+        if ans.decision:
+            w = ans.witness
+            assert path_check(g, w) and cover_of(g, w).bit_count() >= m
+            assert len(w) - 1 <= m * g.n
 
 
 @examples
